@@ -3,14 +3,34 @@
 Trees are grown on seeded bootstrap samples, each split chooses the best
 threshold among ``mtry`` randomly sampled features, and ties in impurity
 decrease resolve to the lowest feature index then the lowest threshold so a
-(dataset, config) pair always yields the identical model. Per-tree random
-streams are derived as seed XOR tree-index, so the order trees are built in
-cannot change the result.
+(dataset, config) pair always yields the identical model.
+
+Lockstep growth. Tree ``i`` owns the stream ``default_rng(seed ^ i)`` and
+its own preorder stack. It draws its bootstrap first, then one candidate
+set per splittable node in preorder; leaves draw nothing. Trees grow in
+groups of ``_GROUP``, and a group advances in steps: every unfinished tree
+emits the leaves it pops until it reaches a node it may split, draws that
+node's candidates from its own stream, and hands the node over; one
+batched search then splits every handed-over node. A tree's draws depend
+only on its own earlier nodes, never on how the trees interleave, so the
+model is the one that growing the trees one after another would give.
+
+The batched search never sorts floats. A node holds its distinct bootstrap
+rows with integer weights, and each column's values are replaced once per
+forest by dense ranks (equal values share a rank). One integer sort of
+packed (segment, rank, weight, class) keys orders the rows of every (node,
+candidate) segment of a chunk of at most ``_CHUNK`` rows. Splits fall only
+between distinct values, so the order inside a tie cannot matter; class
+counts are exact integers, and each gain is computed with the same float
+expression as a scan of the node's sorted column, so every choice, and
+every importance, is bit-for-bit what that scan gives. In-flight memory is
+bounded by the group and chunk sizes, not by ``n_trees``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +39,8 @@ from .dataset import Dataset
 from .errors import ConfigError, DataError
 
 _MIN_GAIN = 1e-12
+_GROUP = 25  # trees grown in lockstep
+_CHUNK = 1 << 13  # rows per batched split-search sort
 
 
 @dataclass(frozen=True)
@@ -103,105 +125,289 @@ class ForestModel:
         return "\n".join(lines)
 
 
-def _best_split(x: np.ndarray, y_node: np.ndarray, rows: np.ndarray,
-                candidates: np.ndarray, gini_parent: float, eye: np.ndarray):
-    """Best (gain, feature, threshold, sorted order, split position) over candidates.
+class _Ranks:
+    """Dense per-column ranks of a training matrix, computed once per forest.
 
-    Candidates are scanned in ascending index order with strict improvement,
-    and positions within a feature scan ascending thresholds, which yields the
-    documented lowest-index / lowest-threshold tie-break.
+    Equal values share a rank (-0.0 ties with 0.0, as under ``<``), so rank
+    order is value order with each tie kept together.
     """
-    n = len(rows)
-    total = eye[y_node].sum(axis=0)
-    best = None
-    best_gain = _MIN_GAIN
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
-    for f in candidates:
-        v = x[rows, f]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        valid = sv[:-1] < sv[1:]
-        if not valid.any():
+
+    def __init__(self, x: np.ndarray):
+        n, p = x.shape
+        self.x = x
+        self.n = n
+        self.rank = np.empty(p * n, dtype=np.int32)  # rank of row r in column j at j * n + r
+        top = 0
+        for j in range(p):
+            _, rank = np.unique(x[:, j], return_inverse=True)
+            self.rank[j * n:(j + 1) * n] = rank
+            top = max(top, int(rank.max()))
+        self.bits = top.bit_length()
+
+
+def _chunks(sizes: np.ndarray):
+    """Consecutive (a, b) ranges whose sizes sum to at most _CHUNK (or one item)."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + _CHUNK, side="right")))
+        yield a, b
+        a = b
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray):
+    """Owner index and position of every element of the concatenated [start, start + size) ranges."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    positions = np.arange(owner.size) + (starts - (np.cumsum(sizes) - sizes))[owner]
+    return owner, positions
+
+
+class _Tree:
+    """A growing tree: its random stream, preorder stack and compact node records."""
+
+    __slots__ = ("rng", "bootstrap", "stack", "feature", "threshold", "left", "right",
+                 "counts", "importance")
+
+    def __init__(self, rng: np.random.Generator, bootstrap: np.ndarray, root: tuple, p: int):
+        self.rng = rng
+        self.bootstrap = bootstrap
+        # Entries: (pool start, distinct rows, depth, parent, is_left, class counts, splittable).
+        self.stack = [root]
+        self.feature = array("q")
+        self.threshold = array("d")
+        self.left = array("q")
+        self.right = array("q")
+        self.counts = array("d")
+        self.importance = [0.0] * p
+
+    def next_splittable(self):
+        """Emit popped nodes as leaves until one may split; return it, or None when done."""
+        while self.stack:
+            start, size, depth, parent, is_left, counts, splittable = self.stack.pop()
+            node = len(self.feature)
+            if parent >= 0:
+                (self.left if is_left else self.right)[parent] = node
+            self.feature.append(-1)
+            self.threshold.append(math.nan)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.counts.extend(counts)
+            if splittable:
+                return node, start, size, depth, counts
+        return None
+
+    def finish(self, k: int) -> DecisionTree:
+        # Zero-copy views: the records become the model's arrays.
+        return DecisionTree(
+            feature=np.frombuffer(self.feature, dtype=np.int64),
+            threshold=np.frombuffer(self.threshold, dtype=np.float64),
+            left=np.frombuffer(self.left, dtype=np.int64),
+            right=np.frombuffer(self.right, dtype=np.int64),
+            counts=np.frombuffer(self.counts, dtype=np.float64).reshape(-1, k),
+            importance=np.array(self.importance),
+            bootstrap_indices=self.bootstrap,
+        )
+
+
+class _Pool:
+    """The distinct bootstrap rows of a group of trees; each node owns a contiguous range.
+
+    ``payload`` packs each row's bootstrap weight above its class, the low
+    bits of the split-search sort keys.
+    """
+
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, y: np.ndarray, k: int, ranks: _Ranks):
+        self.rows = rows.astype(np.int32)
+        self.class_bits = (k - 1).bit_length()
+        self.payload_bits = self.class_bits + int(weights.max()).bit_length()
+        self.payload = ((weights << self.class_bits) | y[rows]).astype(np.int32)
+        self.segment_shift = self.payload_bits + ranks.bits
+        # A chunk holds at most _CHUNK // 2 segments: a splittable node has two distinct rows.
+        if self.payload_bits > 31 or self.segment_shift + (_CHUNK // 2).bit_length() > 63:
+            raise DataError("training data too large for the packed split-search keys")
+
+
+def _firsts(ids: np.ndarray) -> np.ndarray:
+    """Index of the first entry of every run of equal values in ``ids``."""
+    new = np.empty(len(ids), dtype=bool)
+    new[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _search(ranks: _Ranks, pool: _Pool, start: np.ndarray, size: np.ndarray,
+            cand: np.ndarray, counts: np.ndarray):
+    """Best split of every node in a batch over its ascending candidate columns.
+
+    Segment ``j * mtry + c`` holds node j's rows keyed by candidate c. One
+    sort per chunk orders every segment by (segment, rank). Each boundary
+    between distinct values gets the gain a scan of that column's sorted
+    values would compute, operation for operation. Positions are visited in
+    (candidate, value) order, so the first maximum is the lowest column,
+    then the lowest threshold; a later chunk replaces a node's best only by
+    a strictly larger gain.
+
+    Returns per node the gain (-inf when no candidate has two distinct
+    values), the column, the rank of the largest value going left, and the
+    class counts going left.
+    """
+    b_nodes, mtry = cand.shape
+    k = counts.shape[1]
+    n_node = counts.sum(axis=1)
+    gini_parent = 1.0 - (counts * counts).sum(axis=1) / (n_node * n_node)
+    counts_t = np.ascontiguousarray(counts.T)
+    seg_size = np.repeat(size, mtry)
+    seg_start = np.repeat(start, mtry)
+    seg_col = cand.ravel()
+    best_gain = np.full(b_nodes, -np.inf)
+    best_col = np.zeros(b_nodes, dtype=np.int64)
+    best_low = np.zeros(b_nodes, dtype=np.int64)
+    best_left = np.zeros((k, b_nodes), dtype=np.int64)
+    rank_mask = (1 << ranks.bits) - 1
+    class_mask = (1 << pool.class_bits) - 1
+    weight_mask = (1 << (pool.payload_bits - pool.class_bits)) - 1
+
+    for a, b in _chunks(seg_size):
+        sizes = seg_size[a:b]
+        sid, pos = _ranges(seg_start[a:b], sizes)
+        key = np.left_shift(ranks.rank[(seg_col[a:b] * ranks.n)[sid] + pool.rows[pos]],
+                            pool.payload_bits, dtype=np.int64)
+        key |= pool.payload[pos]
+        key |= sid << pool.segment_shift
+        key.sort()
+        m = len(key)
+        # cum[c, i]: weight of class c among the segment's sorted rows up to i (inclusive).
+        cum = np.zeros((k, m), dtype=np.int64)
+        cum.ravel()[(key & class_mask) * m + np.arange(m)] = (key >> pool.class_bits) & weight_mask
+        np.cumsum(cum, axis=1, out=cum)
+        value = key >> pool.payload_bits
+        # Split positions: the last row of a value that has a larger value in its segment.
+        first = np.cumsum(sizes) - sizes
+        boundary = value[1:] != value[:-1]
+        boundary[first[1:] - 1] = False
+        at = np.flatnonzero(boundary)
+        if len(at) == 0:
             continue
-        cum = np.cumsum(eye[y_node[order]], axis=0)
-        c_left = cum[:-1]
-        c_right = total - c_left
-        gini_left = 1.0 - (c_left * c_left).sum(axis=1) / (n_left * n_left)
-        gini_right = 1.0 - (c_right * c_right).sum(axis=1) / (n_right * n_right)
-        gain = gini_parent - (n_left * gini_left + n_right * gini_right) / n
-        gain[~valid] = -np.inf
-        pos = int(np.argmax(gain))
-        if gain[pos] > best_gain:
-            best_gain = float(gain[pos])
-            best = (best_gain, int(f), float((sv[pos] + sv[pos + 1]) / 2.0), order, pos)
-    return best
+        seg = sid[at]
+        before = np.zeros((k, b - a), dtype=np.int64)
+        before[:, 1:] = cum[:, first[1:] - 1]
+        c_left = np.take(cum, at, axis=1)
+        c_left -= np.take(before, seg, axis=1)
+        node = (a + seg) // mtry
+        n = n_node[node]
+        n_left = c_left.sum(axis=0)
+        n_right = n - n_left
+        c_right = np.take(counts_t, node, axis=1)
+        c_right -= c_left
+        # Class counts are integers, so every sum below is exact; the rest is
+        # the scan's float expression, in its order.
+        gini_left = (c_left * c_left).sum(axis=0) / (n_left * n_left)
+        np.subtract(1.0, gini_left, out=gini_left)
+        gini_right = (c_right * c_right).sum(axis=0) / (n_right * n_right)
+        np.subtract(1.0, gini_right, out=gini_right)
+        gini_left *= n_left
+        gini_right *= n_right
+        gini_left += gini_right
+        gini_left /= n
+        gain = gini_parent[node]
+        gain -= gini_left
+
+        heads = _firsts(node)
+        top = np.maximum.reduceat(gain, heads)
+        hits = np.flatnonzero(gain == np.repeat(top, np.diff(heads, append=len(gain))))
+        first_hit = hits[_firsts(node[hits])]
+        better = top > best_gain[node[heads]]
+        won, hit = node[heads][better], first_hit[better]
+        best_gain[won] = top[better]
+        best_col[won] = seg_col[a + seg[hit]]
+        best_low[won] = value[at[hit]] & rank_mask
+        best_left[:, won] = c_left[:, hit]
+    return best_gain, best_col, best_low, best_left.T
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, k: int, mtry: int,
-               cfg: ForestConfig, rng: np.random.Generator,
-               bootstrap: np.ndarray) -> DecisionTree:
-    n, p = x.shape
-    eye = np.eye(k)
-    features: list[int] = []
-    thresholds: list[float] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-    counts: list[np.ndarray] = []
-    importance = np.zeros(p)
+def _partition(ranks: _Ranks, pool: _Pool, start: np.ndarray, size: np.ndarray,
+               column: np.ndarray, low: np.ndarray):
+    """Reorder each split node's range so rows with rank <= low come first.
 
-    # Explicit stack keeps node order preorder (right pushed first) without
-    # recursion-depth limits; child links are patched when a child is emitted.
-    stack = [(np.arange(n), 0, -1, False)]  # rows, depth, parent, is_left
-    while stack:
-        rows, depth, parent, is_left = stack.pop()
-        node = len(features)
-        if parent >= 0:
-            if is_left:
-                lefts[parent] = node
-            else:
-                rights[parent] = node
+    Returns the left sizes and the thresholds: the midpoint between the
+    largest value going left and the smallest going right.
+    """
+    left_size = np.empty(len(size), dtype=np.int64)
+    threshold = np.empty(len(size))
+    for a, b in _chunks(size):
+        owner, pos = _ranges(start[a:b], size[a:b])
+        col = column[a:b][owner]
+        right = ranks.rank[col * ranks.n + pool.rows[pos]] > low[a:b][owner]
+        order = np.argsort(owner * 2 + right, kind="stable")  # owners stay in place
+        moved = pos[order]
+        pool.rows[pos] = pool.rows[moved]
+        pool.payload[pos] = pool.payload[moved]
+        left_size[a:b] = size[a:b] - np.bincount(owner[right], minlength=b - a)
+        value = ranks.x[pool.rows[pos], col]
+        first = np.cumsum(size[a:b]) - size[a:b]
+        heads = np.column_stack([first, first + left_size[a:b]]).ravel()
+        threshold[a:b] = (np.maximum.reduceat(value, heads)[0::2]
+                          + np.minimum.reduceat(value, heads)[1::2]) / 2.0
+    return left_size, threshold
 
-        y_node = y[rows]
-        node_counts = np.bincount(y_node, minlength=k).astype(np.float64)
-        counts.append(node_counts)
 
-        n_node = len(rows)
-        pure = node_counts.max() == n_node
-        depth_capped = cfg.max_depth is not None and depth >= cfg.max_depth
-        split = None
-        if not pure and not depth_capped and n_node >= cfg.min_samples_split:
-            candidates = np.sort(rng.choice(p, size=mtry, replace=False))
-            gini_parent = 1.0 - float((node_counts * node_counts).sum()) / (n_node * n_node)
-            split = _best_split(x, y_node, rows, candidates, gini_parent, eye)
+def _grow_group(ranks: _Ranks, y: np.ndarray, k: int, mtry: int, cfg: ForestConfig,
+                tree_ids: range) -> list[DecisionTree]:
+    """Grow the given trees in lockstep, one batched split search per step."""
+    n, p = ranks.x.shape
+    trees, rows, weights = [], [], []
+    offset = 0
+    for i in tree_ids:
+        rng = np.random.default_rng(cfg.seed ^ i)
+        bootstrap = rng.integers(0, n, size=n)
+        weight = np.bincount(bootstrap, minlength=n)
+        distinct = np.flatnonzero(weight)
+        counts = np.bincount(y, weights=weight, minlength=k).astype(np.int64).tolist()
+        trees.append(_Tree(rng, bootstrap, (offset, len(distinct), 0, -1, False, counts,
+                                            max(counts) < n), p))
+        rows.append(distinct)
+        weights.append(weight[distinct])
+        offset += len(distinct)
+    pool = _Pool(np.concatenate(rows), np.concatenate(weights), y, k, ranks)
+    del rows, weights
 
-        if split is None:
-            features.append(-1)
-            thresholds.append(math.nan)
-            lefts.append(-1)
-            rights.append(-1)
-            continue
+    while True:
+        batch, draws = [], []
+        for tree in trees:
+            found = tree.next_splittable()
+            if found is not None:
+                batch.append((tree,) + found)
+                draws.append(tree.rng.choice(p, size=mtry, replace=False))
+        if not batch:
+            return [tree.finish(k) for tree in trees]
+        _, _, start, size, _, counts = zip(*batch)
+        start = np.array(start, dtype=np.int64)
+        size = np.array(size, dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)
+        gain, column, low, c_left = _search(ranks, pool, start, size,
+                                            np.sort(np.array(draws), axis=1), counts)
 
-        gain, f, threshold, order, pos = split
-        features.append(f)
-        thresholds.append(threshold)
-        lefts.append(-1)
-        rights.append(-1)
-        importance[f] += (n_node / n) * gain
-        left_rows = rows[order[: pos + 1]]
-        right_rows = rows[order[pos + 1:]]
-        stack.append((right_rows, depth + 1, node, False))
-        stack.append((left_rows, depth + 1, node, True))
-
-    return DecisionTree(
-        feature=np.asarray(features, dtype=np.int64),
-        threshold=np.asarray(thresholds, dtype=np.float64),
-        left=np.asarray(lefts, dtype=np.int64),
-        right=np.asarray(rights, dtype=np.int64),
-        counts=np.asarray(counts, dtype=np.float64),
-        importance=importance,
-        bootstrap_indices=bootstrap,
-    )
+        split = np.flatnonzero(gain > _MIN_GAIN)
+        left_size, threshold = _partition(ranks, pool, start[split], size[split], column[split],
+                                          low[split])
+        c_left = c_left[split]
+        c_right = counts[split] - c_left
+        n_left = c_left.sum(axis=1)
+        n_right = c_right.sum(axis=1)
+        ok_left = (c_left.max(axis=1) < n_left) & (n_left >= cfg.min_samples_split)
+        ok_right = (c_right.max(axis=1) < n_right) & (n_right >= cfg.min_samples_split)
+        for j, f, thr, g, ls, cl, cr, sl, sr in zip(
+                split.tolist(), column[split].tolist(), threshold.tolist(), gain[split].tolist(),
+                left_size.tolist(), c_left.tolist(), c_right.tolist(), ok_left.tolist(),
+                ok_right.tolist()):
+            tree, node, st, sz, depth, node_counts = batch[j]
+            tree.feature[node] = f
+            tree.threshold[node] = thr
+            tree.importance[f] += (sum(node_counts) / n) * g
+            depth += 1
+            deeper = cfg.max_depth is None or depth < cfg.max_depth
+            tree.stack.append((st + ls, sz - ls, depth, node, False, cr, sr and deeper))
+            tree.stack.append((st, ls, depth, node, True, cl, sl and deeper))
 
 
 def train_forest_xy(x: np.ndarray, y: np.ndarray, n_classes: int, cfg: ForestConfig,
@@ -215,14 +421,17 @@ def train_forest_xy(x: np.ndarray, y: np.ndarray, n_classes: int, cfg: ForestCon
         raise DataError("labels length does not match matrix rows")
     if x.shape[0] < cfg.min_samples_split:
         raise DataError(f"need at least min_samples_split={cfg.min_samples_split} rows, got {x.shape[0]}")
+    if not np.isfinite(x).all():
+        raise DataError("feature matrix contains non-finite entries")
+    if y.min() < 0 or y.max() >= n_classes:
+        raise DataError(f"labels must lie in [0, {n_classes}), got range [{y.min()}, {y.max()}]")
     mtry = cfg.validate(x.shape[1])
 
-    n = x.shape[0]
+    ranks = _Ranks(x)
     trees = []
-    for i in range(cfg.n_trees):
-        rng = np.random.default_rng(cfg.seed ^ i)
-        bootstrap = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(x[bootstrap], y[bootstrap], n_classes, mtry, cfg, rng, bootstrap))
+    for first in range(0, cfg.n_trees, _GROUP):
+        group = range(first, min(first + _GROUP, cfg.n_trees))
+        trees.extend(_grow_group(ranks, y, n_classes, mtry, cfg, group))
 
     raw = np.mean([t.importance for t in trees], axis=0)
     total = raw.sum()

@@ -1,11 +1,16 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cyclonids.boruta import BorutaConfig, run_boruta
 from cyclonids.dataset import Dataset
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.forest import (DecisionTree, ForestConfig, ForestModel, feature_importance,
                               per_tree_importances, predict, train_forest, train_forest_xy)
 from cyclonids.synthgen import SynthConfig, gen_classification
+from oracles import best_gini_split
 
 
 def _dataset(features, labels, k=2):
@@ -154,3 +159,114 @@ def test_errors():
     model = train_forest(d, ForestConfig(n_trees=1))
     with pytest.raises(DataError):
         predict(model, np.zeros((2, 3)))
+
+
+def test_rejects_non_finite_features():
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.arange(8.0).reshape(4, 2)
+        x[1, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            train_forest_xy(x, np.array([0, 1, 0, 1]), 2, ForestConfig(n_trees=1))
+
+
+def test_rejects_labels_outside_class_range():
+    x = np.arange(8.0).reshape(4, 2)
+    for labels in ([0, 1, 2, 1], [0, -1, 0, 1]):
+        with pytest.raises(DataError, match="labels"):
+            train_forest_xy(x, np.array(labels), 2, ForestConfig(n_trees=1))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _matrix(n, informative, noise, k, separation, seed, rounded=False):
+    d, _ = gen_classification(SynthConfig(n, informative, noise, k, separation, seed=seed))
+    return (np.round(d.features, 1) if rounded else d.features), d.labels, k
+
+
+# sha256 of ForestModel.to_text() and of the raw per-tree importances (native
+# float64 bytes), recorded from the tree-at-a-time grower that sorted each
+# candidate column per node. The importances pin every chosen gain to the
+# last bit. Rounding to one decimal makes long ties and mixes -0.0 with 0.0
+# in the same column.
+PINNED_FORESTS = {
+    "full_depth_k2": (
+        _matrix(300, 3, 5, 2, 1.0, 31), ForestConfig(n_trees=8, seed=31),
+        "33423b74462cb3be5138f6d5b8ff82006b6a8ae769bdac68d76990933acaaf1c",
+        "4c552ba5126d4457d8c5a3a990324155eb7b15d1467ef32d924951841103dcdb"),
+    "boruta_forest_k3": (
+        _matrix(400, 3, 5, 3, 1.0, 32),
+        ForestConfig(n_trees=12, max_depth=4, min_samples_split=25, seed=32),
+        "8eb3d9f203e7f127a191410a35d144d2bfb51d17f49a9a2fdf1904b9810a6806",
+        "e619904a5594fc12ede807fd88db9a57655ec41e5a29a9d28d801f8b4520c8c6"),
+    "mtry_p_k3": (
+        _matrix(200, 2, 3, 3, 1.0, 33), ForestConfig(n_trees=6, mtry=5, seed=33),
+        "6d8d63ed7a65cafba46fa55c1e21e8fe1b1cbbc946e5132a2846e093b0a078f7",
+        "26e0b9b7fc8d67bb0e18692d7e818c680dc92d390b717daccf1233a753d49bdf"),
+    "rounded_ties_k3": (
+        _matrix(300, 2, 4, 3, 1.5, 34, rounded=True), ForestConfig(n_trees=8, seed=34),
+        "4a0d76ab74b6463490ab1c2594dda035130eaa6c31485817427953fc4a095290",
+        "0eb2179182946f0da644e144a4e90992ccb13bda58f1d84656e61ec52143fe18"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORESTS))
+def test_pinned_model_digest(name):
+    (x, y, k), cfg, text_digest, importance_digest = PINNED_FORESTS[name]
+    model = train_forest_xy(x, y, k, cfg)
+    assert _sha(model.to_text()) == text_digest
+    raw = per_tree_importances(model, normalize=False)
+    assert hashlib.sha256(raw.tobytes()).hexdigest() == importance_digest
+
+
+def test_pinned_boruta_digest():
+    d, _ = gen_classification(SynthConfig(300, 3, 7, 2, 2.0, seed=35))
+    result = run_boruta(d, BorutaConfig(max_iterations=8, seed=35))
+    assert _sha(result.to_text()) == "7f0c6e23ac001bd2bee6e0cf194b18e3130477427d4898266683af5744e47ffc"
+
+
+def _check_node(tree, node, x, y, k, depth, cfg):
+    """Route the node's rows down the tree and check each split against the oracle."""
+    assert tree.counts[node].tolist() == np.bincount(y, minlength=k).tolist()
+    best = best_gini_split(x, y, k)
+    if tree.feature[node] < 0:
+        pure = len(np.unique(y)) == 1
+        capped = cfg.max_depth is not None and depth >= cfg.max_depth
+        if not pure and not capped and len(y) >= cfg.min_samples_split:
+            assert best is None or best[0] <= 1e-12
+        return
+    assert best is not None and best[0] > 1e-12
+    assert (int(tree.feature[node]), float(tree.threshold[node])) == (best[1], best[2])
+    left = x[:, tree.feature[node]] <= tree.threshold[node]
+    _check_node(tree, tree.left[node], x[left], y[left], k, depth + 1, cfg)
+    _check_node(tree, tree.right[node], x[~left], y[~left], k, depth + 1, cfg)
+
+
+@pytest.mark.parametrize("cfg", [ForestConfig(n_trees=4, mtry=4, seed=51),
+                                 ForestConfig(n_trees=4, mtry=4, max_depth=3,
+                                              min_samples_split=8, seed=52)])
+def test_every_split_is_the_exhaustive_best(cfg):
+    x, y, k = _matrix(60, 2, 2, 3, 1.0, 50, rounded=True)
+    model = train_forest_xy(x, y, k, cfg)
+    for tree in model.trees:
+        rows = tree.bootstrap_indices
+        _check_node(tree, 0, x[rows], y[rows], k, 0, cfg)
+
+
+def test_training_memory_stays_flat():
+    """Memory in flight stays bounded while the forest's nodes accumulate.
+
+    At n=2000, p=5 and 50 full-depth trees the model holds about 2.4 MB and
+    training needs about 1.2 MB more at its peak. Keeping a numpy object per
+    node for every tree in flight would need several MB more.
+    """
+    x, y, k = _matrix(2000, 2, 3, 2, 1.0, 41)
+    tracemalloc.start()
+    try:
+        model = train_forest_xy(x, y, k, ForestConfig(n_trees=50, seed=41))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.trees) == 50
+    assert peak - held < 2_000_000
