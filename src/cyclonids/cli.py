@@ -45,7 +45,10 @@ def parse_synth_spec(spec: str) -> SynthConfig:
         if key not in _SYNTH_KEYS:
             raise ConfigError(f"unknown --synth key '{key}' (expected {sorted(_SYNTH_KEYS)})")
         field = _SYNTH_KEYS[key]
-        kwargs[field] = float(value) if field == "class_separation" else int(value)
+        try:
+            kwargs[field] = float(value) if field == "class_separation" else int(value)
+        except ValueError:
+            raise ConfigError(f"--synth {key} must be a number, got '{value.strip()}'") from None
     try:
         cfg = SynthConfig(**kwargs)
     except TypeError as exc:

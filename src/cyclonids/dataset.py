@@ -251,6 +251,25 @@ def synthetic_schema(feature_names: list[str], class_names: list[str],
     return DatasetSchema(schema_id, tuple(cols), tuple(class_names), label_map)
 
 
+def read_synthetic_schema(path: str) -> DatasetSchema:
+    """Schema of a CSV written by `cyclonids gen`: feature names from its
+    header, class names (sorted) from its last column."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            header = handle.readline().strip().split(",")
+            classes: dict[str, None] = {}
+            for row in csv.reader(handle):
+                if row:
+                    classes.setdefault(row[-1].strip(), None)
+    except FileNotFoundError:
+        raise DataError(f"file missing: {path}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    if len(header) < 2:
+        raise DataError(f"cannot infer synthetic schema from {path}")
+    return synthetic_schema(header[:-1], sorted(classes))
+
+
 def schema_by_name(name: str) -> DatasetSchema:
     builders = {"kdd99": kdd99_schema, "nslkdd": nslkdd_schema, "ugransome": ugransome_schema}
     if name not in builders:
@@ -261,6 +280,18 @@ def schema_by_name(name: str) -> DatasetSchema:
 # --------------------------------------------------------------------------
 # CSV loading
 # --------------------------------------------------------------------------
+
+def _not_utf8(path: str) -> DataError:
+    """The error for a file that fails to decode, naming its first bad line."""
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DataError(f"{path}: line {lineno} is not valid UTF-8 "
+                                 f"(byte {line[exc.start]:#04x} at offset {exc.start})")
+    return DataError(f"{path}: not valid UTF-8")
+
 
 def _parse_numeric(token: str) -> float | None:
     """Parse a numeric field; grouped digits ('1819 000') are accepted."""
@@ -294,8 +325,8 @@ def load_csv(path: str, schema: DatasetSchema) -> RawDataset:
     Numeric fields become floats, categorical fields stay as stripped tokens,
     and the label column is mapped to a class index. Rows whose numeric fields
     do not parse (or parse to NaN/inf) are dropped and their 1-based line
-    numbers recorded in ``rejected_rows``. A wrong field count or an unmapped
-    label aborts the load.
+    numbers recorded in ``rejected_rows``. A wrong field count, an unmapped
+    label or a byte that is not UTF-8 aborts the load.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -311,40 +342,43 @@ def load_csv(path: str, schema: DatasetSchema) -> RawDataset:
     with handle:
         reader = csv.reader(handle)
         first = True
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != schema.arity:
-                raise DataError(
-                    f"arity mismatch at row {lineno}: expected {schema.arity} fields, got {len(row)}")
-            if first:
-                first = False
-                if _looks_like_header(row, schema):
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != schema.arity:
+                    raise DataError(
+                        f"arity mismatch at row {lineno}: expected {schema.arity} fields, got {len(row)}")
+                if first:
+                    first = False
+                    if _looks_like_header(row, schema):
+                        continue
+
+                raw_label = _normalize_label(row[schema.label_position])
+                if raw_label not in schema.label_map:
+                    raise DataError(f"unknown label '{row[schema.label_position].strip()}' at row {lineno}")
+
+                parsed: list = []
+                ok = True
+                for col in feature_cols:
+                    token = row[col.position]
+                    if col.kind == NUMERIC:
+                        value = _parse_numeric(token)
+                        if value is None:
+                            ok = False
+                            break
+                        parsed.append(value)
+                    else:
+                        parsed.append(token.strip())
+                if not ok:
+                    rejected.append(lineno)
                     continue
 
-            raw_label = _normalize_label(row[schema.label_position])
-            if raw_label not in schema.label_map:
-                raise DataError(f"unknown label '{row[schema.label_position].strip()}' at row {lineno}")
-
-            parsed: list = []
-            ok = True
-            for col in feature_cols:
-                token = row[col.position]
-                if col.kind == NUMERIC:
-                    value = _parse_numeric(token)
-                    if value is None:
-                        ok = False
-                        break
-                    parsed.append(value)
-                else:
-                    parsed.append(token.strip())
-            if not ok:
-                rejected.append(lineno)
-                continue
-
-            for store, value in zip(values, parsed):
-                store.append(value)
-            labels.append(class_index[schema.label_map[raw_label]])
+                for store, value in zip(values, parsed):
+                    store.append(value)
+                labels.append(class_index[schema.label_map[raw_label]])
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
 
     if not labels and not rejected:
         raise DataError(f"empty file: {path}")

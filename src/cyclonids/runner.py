@@ -10,7 +10,6 @@ apart from wall-clock timings.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -31,8 +30,8 @@ from . import preprocess
 from . import svm as svm_mod
 from .boruta import BorutaConfig
 from .dataset import (Dataset, class_distribution, encode_categoricals, load_csv,
-                      schema_by_name, split)
-from .errors import ConfigError, DataError
+                      read_synthetic_schema, schema_by_name, split)
+from .errors import ConfigError
 from .forest import ForestConfig
 from .metrics import EvaluationReport
 from .svm import SVMConfig
@@ -143,20 +142,7 @@ def _load_stage(cfg: ExperimentConfig) -> Dataset:
     if cfg.schema == "synthetic":
         # A synthetic CSV written by `cyclonids gen` carries its own header;
         # infer the schema from it.
-        from .dataset import synthetic_schema
-        with open(cfg.data_path, "r", encoding="utf-8") as handle:
-            header = handle.readline().strip().split(",")
-        if len(header) < 2:
-            raise DataError(f"cannot infer synthetic schema from {cfg.data_path}")
-        feature_names = header[:-1]
-        classes: dict[str, None] = {}
-        with open(cfg.data_path, "r", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            for row in reader:
-                if row:
-                    classes.setdefault(row[-1].strip(), None)
-        schema = synthetic_schema(feature_names, sorted(classes))
+        schema = read_synthetic_schema(cfg.data_path)
         return encode_categoricals(load_csv(cfg.data_path, schema), "onehot")
     schema = schema_by_name(cfg.schema)
     raw = load_csv(cfg.data_path, schema)

@@ -4,8 +4,9 @@ Everything here deliberately avoids the implementation paths it checks:
 eigenvalues come from power iteration with deflation instead of a library
 eigensolver, metrics from explicit pair counting, SVM objectives from a
 multi-resolution lattice search, separability from exhaustive threshold
-enumeration, and the best tree split from exhaustive midpoint enumeration
-with row-by-row class counting.
+enumeration, the best tree split from exhaustive midpoint enumeration
+with row-by-row class counting, and the SVM's SMO trajectory from the plain
+solver that rebuilds its gradient and working sets on every step.
 """
 
 from __future__ import annotations
@@ -176,3 +177,83 @@ def best_gini_split(x: np.ndarray, y: np.ndarray, k: int):
             if best is None or gain > best[0]:
                 best = (gain, f, threshold)
     return best
+
+
+def _reference_bias(y_pm, f, alpha, c) -> float:
+    r = y_pm - f
+    free = (alpha > 1e-12 * c) & (alpha < c * (1.0 - 1e-12))
+    if free.any():
+        return float(r[free].mean())
+    at_zero = alpha <= 1e-12 * c
+    at_c = ~at_zero
+    lower = r[(at_zero & (y_pm > 0)) | (at_c & (y_pm < 0))]
+    upper = r[(at_zero & (y_pm < 0)) | (at_c & (y_pm > 0))]
+    if len(lower) and len(upper):
+        return float((lower.max() + upper.min()) / 2.0)
+    if len(lower):
+        return float(lower.max())
+    return float(upper.min())
+
+
+def reference_smo(x: np.ndarray, y_pm: np.ndarray, cfg):
+    """The SVM's maximal-violating-pair SMO with every step recomputed from scratch.
+
+    Each step rebuilds the dual gradient and both index sets over all n
+    rows, so it is the plain statement of the solver that the incremental
+    one in ``svm._solve_binary`` must reproduce bit for bit: same
+    (best_w, best_b, history).
+    """
+    box_eps, kkt_eps = 1e-12, 1e-9
+    n, p = x.shape
+    c = cfg.c
+    alpha = np.zeros(n)
+    w = np.zeros(p)
+    f = np.zeros(n)
+    self_dot = np.einsum("ij,ij->i", x, x)
+
+    best_obj = svm_primal_objective(x, y_pm, w, 0.0, c)
+    best_w, best_b = w.copy(), 0.0
+    history: list[float] = []
+    converged = False
+
+    for _ in range(cfg.max_epochs):
+        for _ in range(n):
+            grad = y_pm * f - 1.0
+            neg_yg = -y_pm * grad
+            up = ((y_pm > 0) & (alpha < c - box_eps)) | ((y_pm < 0) & (alpha > box_eps))
+            low = ((y_pm < 0) & (alpha < c - box_eps)) | ((y_pm > 0) & (alpha > box_eps))
+            if not up.any() or not low.any():
+                converged = True
+                break
+            i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
+            j = int(np.argmin(np.where(low, neg_yg, np.inf)))
+            gap = neg_yg[i] - neg_yg[j]
+            if gap <= kkt_eps:
+                converged = True
+                break
+
+            quad = max(self_dot[i] + self_dot[j] - 2.0 * float(x[i] @ x[j]), 1e-12)
+            delta = gap / quad
+            delta_max_i = (c - alpha[i]) if y_pm[i] > 0 else alpha[i]
+            delta_max_j = alpha[j] if y_pm[j] > 0 else (c - alpha[j])
+            delta = min(delta, delta_max_i, delta_max_j)
+            if delta <= 0.0:
+                converged = True
+                break
+
+            alpha[i] += y_pm[i] * delta
+            alpha[j] -= y_pm[j] * delta
+            step = delta * (x[i] - x[j])
+            w += step
+            f += x @ step
+
+        b = _reference_bias(y_pm, f, alpha, c)
+        obj = svm_primal_objective(x, y_pm, w, b, c)
+        if obj < best_obj:
+            best_obj, best_w, best_b = obj, w.copy(), b
+        improvement = history[-1] - best_obj if history else np.inf
+        history.append(best_obj)
+        if converged or improvement < cfg.tolerance:
+            break
+
+    return best_w, best_b, history

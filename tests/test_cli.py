@@ -86,3 +86,51 @@ def test_kfold_flag(tmp_path, capsys):
     assert code == 0
     summary = json.load(open(os.path.join(out, "kfold.json")))
     assert summary["folds"] == 3
+
+
+def test_svm_non_finite_c_exits_2(capsys):
+    for value in ("nan", "inf"):
+        code = main(["run", "--schema", "synthetic",
+                     "--synth", "n=200,inf=2,noise=1,classes=2,sep=10,seed=7",
+                     "--classifier", "svm", "--svm-c", value])
+        assert code == 2
+        assert "c must be finite" in capsys.readouterr().err
+
+
+def test_run_missing_synthetic_file_exits_3(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    code = main(["run", "--schema", "synthetic", "--data", missing])
+    assert code == 3
+    assert f"file missing: {missing}" in capsys.readouterr().err
+
+
+def _kdd_line(label="neptune."):
+    return ",".join(["0", "tcp", "http", "SF"] + ["1"] * 37 + [label])
+
+
+@pytest.mark.parametrize("schema", ["kdd99", "synthetic"])
+def test_run_non_utf8_file_exits_3_naming_the_line(tmp_path, capsys, schema):
+    if schema == "kdd99":
+        lines = [_kdd_line(), _kdd_line("normal."), _kdd_line(), _kdd_line("normal.")]
+        lines[2] = lines[2].replace("SF", "S\xc3F")  # a lead byte with no continuation
+    else:
+        lines = ["f0,f1,label", "0.5,1.5,a", "0.25,-1.0,b", "1.0,2.0,a"]
+        lines[2] = "0.25,-1.0,b\xff"
+    path = tmp_path / "data.csv"
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    code = main(["run", "--schema", schema, "--data", str(path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "line 3 is not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["n=abc,inf=2,noise=1,classes=2,sep=5,seed=1",
+                                  "n=200,inf=2,noise=1,classes=2,sep=x,seed=1"])
+def test_gen_non_numeric_synth_value_exits_2(tmp_path, capsys, spec):
+    with pytest.raises(ConfigError, match="must be a number"):
+        parse_synth_spec(spec)
+    code = main(["gen", "--synth", spec, "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "must be a number" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()

@@ -292,3 +292,13 @@ def test_dataset_is_read_only():
     d = _tiny_dataset(5)
     with pytest.raises(ValueError):
         d.features[0, 0] = 99.0
+
+
+def test_non_utf8_byte_names_its_line(tmp_path):
+    # Far enough into the file that the decoder fails on a later read chunk.
+    lines = [_kdd_row() for _ in range(600)]
+    lines[456] = lines[456].replace("http", "ht\xe9tp")
+    path = tmp_path / "kdd.csv"
+    path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+    with pytest.raises(DataError, match="line 457 is not valid UTF-8"):
+        load_csv(str(path), kdd99_schema())

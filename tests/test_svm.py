@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from cyclonids.dataset import Dataset, split
 from cyclonids.errors import ConfigError, DataError
-from cyclonids.svm import (SVMConfig, SVMModel, decision_function, margins, predict,
-                           train_svm)
+from cyclonids.svm import (SVMConfig, SVMModel, _solve_binary, decision_function, margins,
+                           predict, train_svm)
 from cyclonids.synthgen import SynthConfig, gen_classification
-from oracles import best_linear_rule_accuracy, svm_lattice_minimum, svm_primal_objective
+from oracles import (best_linear_rule_accuracy, reference_smo, svm_lattice_minimum,
+                     svm_primal_objective)
 
 XOR_POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
 XOR_LABELS = np.array([0, 0, 1, 1])
@@ -153,3 +156,91 @@ def test_errors():
         margins(model, np.zeros((2, 9)))
     with pytest.raises(DataError):
         decision_function(model, np.zeros(9))
+
+
+def _duplicated_rows_dataset():
+    """Rows 2k and 2k+1 (k < 20) are equal with opposite labels, so the first
+    maximal violating pairs have quad = 0 and the solver clamps it to 1e-12."""
+    rng = np.random.default_rng(33)
+    x = np.round(rng.standard_normal((60, 3)), 1)
+    y = (x[:, 0] + 0.5 * rng.standard_normal(60) > 0).astype(int)
+    x = np.vstack([np.repeat(x[:20], 2, axis=0), x[20:]])
+    y = np.concatenate([np.stack([y[:20], 1 - y[:20]], axis=1).ravel(), y[20:]])
+    return _dataset(x, y)
+
+
+def _absent_class_dataset():
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((120, 4))
+    return _dataset(x, (x[:, 1] - x[:, 2] > 0).astype(int), k=3)
+
+
+# sha256 of train_svm(...).to_text(), recorded with the solver that rebuilt
+# the gradient and both index sets from scratch on every step.
+PINNED_SVM_DIGESTS = {
+    "three_class_n2000": (
+        lambda: gen_classification(SynthConfig(2000, 3, 5, 3, 1.5, seed=31))[0],
+        SVMConfig(max_epochs=4),
+        "5780559182153e503421ea759601cc233a0b0b9a3ac37794bf6d028b05f132b1"),
+    "c_1e-3_alphas_at_bound": (
+        lambda: gen_classification(SynthConfig(400, 2, 3, 2, 1.0, seed=32))[0],
+        SVMConfig(c=1e-3),
+        "e70d7708fb448cd631ec91e8142e0d1d6df7325b99446496b3c3f38203bc458d"),
+    "duplicated_rows_quad_clamped": (
+        _duplicated_rows_dataset, SVMConfig(c=10.0),
+        "67e33a4bd76b9a1eda1d167111d2b3bde362d3e9b4dce5bc6077411fbea0637a"),
+    "absent_class": (
+        _absent_class_dataset, SVMConfig(),
+        "69e23192b42d0d2e03ba866cf3f7b468b341d59fea705c827af7fc87c6a4a066"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SVM_DIGESTS))
+def test_pinned_model_digests(case):
+    make, cfg, expected = PINNED_SVM_DIGESTS[case]
+    text = train_svm(make(), cfg).to_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
+
+def _random_smo_instance(rng):
+    n = int(rng.integers(2, 81))
+    p = int(rng.integers(1, 6))
+    x = rng.standard_normal((n, p))
+    if rng.random() < 0.5:  # ties: few distinct values per column
+        x = np.round(x, int(rng.integers(0, 2)))
+    if rng.random() < 0.25:
+        x[:, int(rng.integers(p))] = -0.0
+    y_pm = np.where(rng.random(n) < rng.uniform(0.2, 0.8), 1.0, -1.0)
+    cfg = SVMConfig(c=float(10.0 ** rng.uniform(-3.0, 3.0)),
+                    max_epochs=int(rng.integers(1, 31)),
+                    tolerance=float(rng.choice([1e-6, 1e-10])))
+    return x, y_pm, cfg
+
+
+def _smo_instances():
+    """600 random instances, then three whose working sets start empty:
+    one class only, either sign, and c below _BOX_EPS."""
+    rng = np.random.default_rng(2011)
+    for _ in range(600):
+        yield _random_smo_instance(rng)
+    x = np.random.default_rng(7).standard_normal((12, 3))
+    yield x, np.ones(12), SVMConfig()
+    yield x, -np.ones(12), SVMConfig()
+    yield x, np.where(x[:, 0] > 0, 1.0, -1.0), SVMConfig(c=1e-13)
+
+
+def test_solver_matches_reference_smo_bit_for_bit():
+    for x, y_pm, cfg in _smo_instances():
+        w, b, history = _solve_binary(x, y_pm, cfg)
+        ref_w, ref_b, ref_history = reference_smo(x, y_pm, cfg)
+        assert w.tobytes() == ref_w.tobytes()
+        assert repr(b) == repr(ref_b)
+        assert [repr(v) for v in history] == [repr(v) for v in ref_history]
+
+
+@pytest.mark.parametrize("settings", [{"c": float("nan")}, {"c": float("inf")},
+                                      {"tolerance": float("nan")},
+                                      {"tolerance": float("inf")}])
+def test_non_finite_settings_rejected(settings):
+    with pytest.raises(ConfigError, match="finite"):
+        SVMConfig(**settings).validate()
