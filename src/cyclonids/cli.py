@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shlex
@@ -20,7 +21,7 @@ import numpy as np
 
 from .boruta import BorutaConfig
 from .dataset import write_csv
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, unreadable
 from .forest import ForestConfig
 from .runner import (ExperimentConfig, comparison_csv, compare_datasets, emit_reports,
                      run_experiment, run_kfold)
@@ -94,7 +95,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         encoding=args.encoding,
         test_fraction=args.test_fraction,
         seed=args.seed,
-        out_dir=args.out,
         name=args.name,
         boruta=BorutaConfig(max_iterations=args.boruta_max_iter, alpha=args.boruta_alpha,
                             seed=args.seed),
@@ -124,6 +124,15 @@ def _print_summary(rec) -> None:
               f"top feature {top['feature']} (salience {top['score']:.4f})")
 
 
+@contextlib.contextmanager
+def _writing(out: str):
+    """Report a failure to write the --out location as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if args.folds:
@@ -131,16 +140,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"{args.folds}-fold accuracy: mean={summary['accuracy_mean']:.4f} "
               f"std={summary['accuracy_std']:.4f} macro_f1 mean={summary['macro_f1_mean']:.4f}")
         if args.out:
-            os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, "kfold.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(summary, handle, indent=2, sort_keys=True)
+            with _writing(args.out):
+                os.makedirs(args.out, exist_ok=True)
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(summary, handle, indent=2, sort_keys=True)
             print(f"wrote {path}")
         return 0
     rec = run_experiment(cfg)
     _print_summary(rec)
     if args.out:
-        for path in emit_reports(rec, args.out):
+        with _writing(args.out):
+            written = emit_reports(rec, args.out)
+        for path in written:
             print(f"wrote {path}")
     return 0
 
@@ -149,8 +161,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             lines = [ln.strip() for ln in handle]
-    except FileNotFoundError:
-        raise DataError(f"file missing: {args.config}") from None
+    except OSError as exc:
+        raise unreadable(args.config, exc) from None
     configs = []
     run_parser = argparse.ArgumentParser(prog="experiment-line", add_help=False)
     _add_run_arguments(run_parser)
@@ -161,6 +173,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             line_args = run_parser.parse_args(shlex.split(line))
         except SystemExit:
             raise ConfigError(f"bad experiment line: {line}") from None
+        if line_args.folds is not None:
+            raise ConfigError(f"compare runs holdouts only; --folds is not allowed: {line}")
         configs.append(_config_from_args(line_args))
     if not configs:
         raise ConfigError(f"no experiment lines found in {args.config}")
@@ -173,10 +187,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"{row['dataset']:<16} {row['selector']:<8} {row['classifier']:<10} "
               f"{row['accuracy']:>9.4f} {row['macro_f1']:>9.4f}  {row['selector_summary']}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "comparison.csv")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(comparison_csv(rows))
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(comparison_csv(rows))
         print(f"wrote {path}")
     return 0
 
@@ -184,7 +199,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg = parse_synth_spec(args.synth)
     d, informative = gen_classification(cfg)
-    write_csv(d, args.out)
+    with _writing(args.out):
+        write_csv(d, args.out)
     print(f"wrote {args.out}: {d.n} rows, {d.p} features "
           f"(informative columns: {sorted(informative)})")
     return 0

@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, unreadable
 
 log = logging.getLogger(__name__)
 
@@ -136,8 +137,6 @@ class Dataset:
 class SplitPair:
     train: Dataset
     test: Dataset
-    seed: int
-    test_fraction: float
 
 
 # --------------------------------------------------------------------------
@@ -261,8 +260,8 @@ def read_synthetic_schema(path: str) -> DatasetSchema:
             for row in csv.reader(handle):
                 if row:
                     classes.setdefault(row[-1].strip(), None)
-    except FileNotFoundError:
-        raise DataError(f"file missing: {path}") from None
+    except OSError as exc:
+        raise unreadable(path, exc) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     if len(header) < 2:
@@ -328,22 +327,16 @@ def load_csv(path: str, schema: DatasetSchema) -> RawDataset:
     numbers recorded in ``rejected_rows``. A wrong field count, an unmapped
     label or a byte that is not UTF-8 aborts the load.
     """
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise DataError(f"file missing: {path}") from None
-
     feature_cols = schema.feature_columns()
     values: list[list] = [[] for _ in feature_cols]
     labels: list[int] = []
     rejected: list[int] = []
     class_index = {name: i for i, name in enumerate(schema.class_names)}
 
-    with handle:
-        reader = csv.reader(handle)
-        first = True
-        try:
-            for lineno, row in enumerate(reader, start=1):
+    first = True
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            for lineno, row in enumerate(csv.reader(handle), start=1):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != schema.arity:
@@ -377,8 +370,10 @@ def load_csv(path: str, schema: DatasetSchema) -> RawDataset:
                 for store, value in zip(values, parsed):
                     store.append(value)
                 labels.append(class_index[schema.label_map[raw_label]])
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+    except OSError as exc:
+        raise unreadable(path, exc) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
     if not labels and not rejected:
         raise DataError(f"empty file: {path}")
@@ -417,7 +412,7 @@ def numeric_schema(d: Dataset) -> DatasetSchema:
 # --------------------------------------------------------------------------
 
 class CategoricalEncoder:
-    """Token -> number encoder fitted on one RawDataset.
+    """Token -> number encoder fitted on rows of one RawDataset.
 
     ``onehot`` expands each categorical column into one indicator column per
     token seen at fit time plus a trailing unknown column; ``ordinal`` maps
@@ -429,18 +424,15 @@ class CategoricalEncoder:
         if strategy not in ("onehot", "ordinal"):
             raise ConfigError(f"unknown encoding strategy '{strategy}'")
         self.strategy = strategy
-        self.token_order: dict[str, list[str]] = {}
+        # per categorical column: token -> count over the fitted rows, in first-seen order
+        self.occurrences: dict[str, dict[str, int]] = {}
         self._fitted = False
 
-    def fit(self, raw: RawDataset) -> "CategoricalEncoder":
+    def fit(self, raw: RawDataset, rows: np.ndarray | None = None) -> "CategoricalEncoder":
+        """Learn each categorical column's tokens from ``rows`` (default: all rows)."""
         for col, values in zip(raw.schema.feature_columns(), raw.columns):
-            if col.kind != CATEGORICAL:
-                continue
-            seen: dict[str, None] = {}
-            for token in values:
-                if token not in seen:
-                    seen[token] = None
-            self.token_order[col.name] = list(seen)
+            if col.kind == CATEGORICAL:
+                self.occurrences[col.name] = dict(Counter(values if rows is None else values[rows]))
         self._fitted = True
         return self
 
@@ -457,31 +449,25 @@ class CategoricalEncoder:
                 names.append(col.name)
                 continue
 
-            tokens = self.token_order.get(col.name, [])
-            index = {tok: i for i, tok in enumerate(tokens)}
-            occurrences: dict[str, int] = {}
-            for t in values:
-                key = t if t in index else UNKNOWN_TOKEN
-                occurrences[key] = occurrences.get(key, 0) + 1
+            occurrences = self.occurrences.get(col.name, {})
+            index = {tok: i for i, tok in enumerate(occurrences)}
+            unknown = len(index)
+            codes = np.array([index.get(t, unknown) for t in values], dtype=np.intp)
             if self.strategy == "ordinal":
-                unknown = len(tokens)
-                codes = np.array([index.get(t, unknown) for t in values], dtype=np.float64)
-                blocks.append(codes.reshape(-1, 1))
+                blocks.append(codes.astype(np.float64).reshape(-1, 1))
                 names.append(col.name)
                 encoding_map[col.name] = {"strategy": "ordinal",
-                                          "codes": {t: i for t, i in index.items()},
+                                          "codes": index,
                                           "unknown_code": unknown,
                                           "occurrences": occurrences}
             else:
-                width = len(tokens) + 1  # + unknown bucket
-                block = np.zeros((raw.n, width), dtype=np.float64)
-                cols = np.array([index.get(t, len(tokens)) for t in values], dtype=np.intp)
-                block[np.arange(raw.n), cols] = 1.0
+                block = np.zeros((raw.n, unknown + 1), dtype=np.float64)
+                block[np.arange(raw.n), codes] = 1.0
                 blocks.append(block)
-                col_names = [f"{col.name}={tok}" for tok in tokens] + [f"{col.name}={UNKNOWN_TOKEN}"]
+                col_names = [f"{col.name}={tok}" for tok in index] + [f"{col.name}={UNKNOWN_TOKEN}"]
                 names.extend(col_names)
                 encoding_map[col.name] = {"strategy": "onehot",
-                                          "columns": {tok: name for tok, name in zip(tokens, col_names)},
+                                          "columns": dict(zip(index, col_names)),
                                           "unknown_column": col_names[-1],
                                           "occurrences": occurrences}
 
@@ -491,9 +477,14 @@ class CategoricalEncoder:
                        encoding_map=encoding_map)
 
 
-def encode_categoricals(raw: RawDataset, strategy: str = "onehot") -> Dataset:
-    """Fit an encoder on ``raw`` and return the numeric Dataset."""
-    return CategoricalEncoder(strategy).fit(raw).transform(raw)
+def encode_categoricals(raw: RawDataset, strategy: str = "onehot",
+                        fit_rows: np.ndarray | None = None) -> Dataset:
+    """Encode every row of ``raw`` with the vocabulary of ``fit_rows`` (default: all rows).
+
+    Tokens that occur only outside ``fit_rows`` go to the unknown column
+    (onehot) or the reserved code (ordinal).
+    """
+    return CategoricalEncoder(strategy).fit(raw, fit_rows).transform(raw)
 
 
 def load_dataset(path: str, schema: DatasetSchema, strategy: str = "onehot") -> Dataset:
@@ -505,25 +496,27 @@ def load_dataset(path: str, schema: DatasetSchema, strategy: str = "onehot") -> 
 # Splitting and summaries
 # --------------------------------------------------------------------------
 
-def split(d: Dataset, test_fraction: float, seed: int) -> SplitPair:
-    """Seeded random holdout split; test size = round-half-up(n * fraction).
+def holdout_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (train, test) row indices of a seeded random holdout of n rows.
 
-    The rounded test size is clamped to [1, n-1] so both halves stay
-    non-empty. Identical (dataset, fraction, seed) always reproduce the
-    identical row partition.
+    Test size = round-half-up(n * fraction), clamped to [1, n-1] so both
+    halves stay non-empty; identical arguments give the identical partition.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if d.n < 2:
-        raise DataError(f"need at least 2 rows to split, got {d.n}")
+    if n < 2:
+        raise DataError(f"need at least 2 rows to split, got {n}")
 
-    n_test = int(math.floor(d.n * test_fraction + 0.5))
-    n_test = min(max(n_test, 1), d.n - 1)
-    perm = np.random.default_rng(seed).permutation(d.n)
-    test_idx = np.sort(perm[:n_test])
-    train_idx = np.sort(perm[n_test:])
-    return SplitPair(train=d.take(train_idx), test=d.take(test_idx),
-                     seed=seed, test_fraction=test_fraction)
+    n_test = int(math.floor(n * test_fraction + 0.5))
+    n_test = min(max(n_test, 1), n - 1)
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+
+
+def split(d: Dataset, test_fraction: float, seed: int) -> SplitPair:
+    """The rows of ``d`` partitioned by ``holdout_rows``."""
+    train_idx, test_idx = holdout_rows(d.n, test_fraction, seed)
+    return SplitPair(train=d.take(train_idx), test=d.take(test_idx))
 
 
 def class_distribution(d: Dataset) -> dict[str, int]:

@@ -19,3 +19,10 @@ class DataError(CyclonidsError):
 
 class NumericError(CyclonidsError):
     """Numerical failure inside a fitted component."""
+
+
+def unreadable(path: str, exc: OSError) -> DataError:
+    """The DataError for an input path that cannot be opened or read."""
+    if isinstance(exc, FileNotFoundError):
+        return DataError(f"file missing: {path}")
+    return DataError(f"cannot read {path}: {exc.strerror or exc}")

@@ -51,8 +51,6 @@ class EvaluationReport:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    train_time: float = 0.0
-    predict_time: float = 0.0
 
     def to_dict(self) -> dict:
         return {

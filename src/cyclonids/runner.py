@@ -1,11 +1,12 @@
 """End-to-end experiment orchestration.
 
-Pipeline order is fixed: load -> encode -> split -> standardize (fit on the
-training split only) -> select features (fit on train only) -> train the
-classifier on the selected training columns -> evaluate on the held-out
-split. No statistic of the test split ever reaches a fitted component, and
-every random stage is seeded, so a config reproduces its report bit for bit
-apart from wall-clock timings.
+Pipeline order is fixed: load -> encode (vocabulary from the training rows
+only) -> split -> standardize, select features and train the classifier
+(each fitted on the training split only) -> evaluate on the held-out split.
+No statistic of the test split ever reaches a fitted component, and every
+random stage is seeded, so a config reproduces its report bit for bit apart
+from wall-clock timings. k-fold runs the same post-split pipeline per fold,
+refitting everything, the encoder included, on that fold's training rows.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from . import pca as pca_mod
 from . import preprocess
 from . import svm as svm_mod
 from .boruta import BorutaConfig
-from .dataset import (Dataset, class_distribution, encode_categoricals, load_csv,
-                      read_synthetic_schema, schema_by_name, split)
+from .dataset import (Dataset, RawDataset, class_distribution, encode_categoricals,
+                      holdout_rows, load_csv, numeric_schema, read_synthetic_schema,
+                      schema_by_name, split)
 from .errors import ConfigError
 from .forest import ForestConfig
 from .metrics import EvaluationReport
@@ -52,7 +54,6 @@ class ExperimentConfig:
     encoding: str = "auto"
     test_fraction: float = 0.2
     seed: int = 42
-    out_dir: str | None = None
     name: str | None = None  # label used in reports; defaults to schema
     boruta: BorutaConfig | None = None
     pca_threshold: float = 0.95
@@ -126,27 +127,23 @@ class RunRecord:
     selected_features: list[str]
     evaluation: EvaluationReport
     timings: dict[str, float]
-    components: dict
     component_digests: dict[str, str]
-    class_counts: dict[str, int]
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _load_stage(cfg: ExperimentConfig) -> Dataset:
+def _load_stage(cfg: ExperimentConfig) -> RawDataset:
+    """The input rows before encoding: parsed from a CSV file, or generated."""
     if cfg.schema == "synthetic" and cfg.synth is not None:
         d, _ = gen_classification(cfg.synth)
-        return d
+        return RawDataset(numeric_schema(d), list(d.features.T), d.labels)
     if cfg.schema == "synthetic":
         # A synthetic CSV written by `cyclonids gen` carries its own header;
         # infer the schema from it.
-        schema = read_synthetic_schema(cfg.data_path)
-        return encode_categoricals(load_csv(cfg.data_path, schema), "onehot")
-    schema = schema_by_name(cfg.schema)
-    raw = load_csv(cfg.data_path, schema)
-    return encode_categoricals(raw, cfg.resolved_encoding())
+        return load_csv(cfg.data_path, read_synthetic_schema(cfg.data_path))
+    return load_csv(cfg.data_path, schema_by_name(cfg.schema))
 
 
 def _select_stage(cfg: ExperimentConfig, train: Dataset, x_train: np.ndarray,
@@ -207,37 +204,45 @@ def _select_stage(cfg: ExperimentConfig, train: Dataset, x_train: np.ndarray,
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
+    """One seeded holdout run."""
     cfg.validate()
-    timings: dict[str, float] = {}
-    t_total = time.perf_counter()
-
-    t0 = time.perf_counter()
-    data = _load_stage(cfg)
-    timings["load"] = time.perf_counter() - t0
+    started = time.perf_counter()
+    raw = _load_stage(cfg)
+    train_rows, _ = holdout_rows(raw.n, cfg.test_fraction, cfg.seed)  # as split() draws them
+    data = encode_categoricals(raw, cfg.resolved_encoding(), train_rows)
+    del raw  # its parsed tokens pin ~400 MB of heap on a 250k-row KDD99 file
+    timings = {"load": time.perf_counter() - started}
 
     t0 = time.perf_counter()
     pair = split(data, cfg.test_fraction, cfg.seed)
     timings["split"] = time.perf_counter() - t0
+    return _run_split(cfg, data, pair.train, pair.test, timings, started)
 
+
+def _run_split(cfg: ExperimentConfig, data: Dataset, train: Dataset, test: Dataset,
+               timings: dict[str, float], started: float) -> RunRecord:
+    """The post-split pipeline shared by the holdout and k-fold paths: fit on
+    ``train``, evaluate on ``test``, and add each stage's seconds to ``timings``
+    ("total" counts from ``started``)."""
     t0 = time.perf_counter()
-    standardizer = preprocess.fit_standardizer(pair.train.features)
-    x_train = preprocess.transform(standardizer, pair.train.features)
-    x_test = preprocess.transform(standardizer, pair.test.features)
+    standardizer = preprocess.fit_standardizer(train.features)
+    x_train = preprocess.transform(standardizer, train.features)
+    x_test = preprocess.transform(standardizer, test.features)
     timings["standardize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     x_train_sel, x_test_sel, selected_names, selector_report, selector_obj = _select_stage(
-        cfg, pair.train, x_train, x_test)
+        cfg, train, x_train, x_test)
     timings["select"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     class_names = list(data.class_names)
     if cfg.classifier == "rf":
-        model = forest_mod.train_forest_xy(x_train_sel, pair.train.labels, len(class_names),
+        model = forest_mod.train_forest_xy(x_train_sel, train.labels, len(class_names),
                                            cfg.forest, class_names=class_names)
         predict = lambda m: forest_mod.predict(model, m)
     else:
-        svm_train = Dataset(features=x_train_sel, labels=pair.train.labels,
+        svm_train = Dataset(features=x_train_sel, labels=train.labels,
                             feature_names=selected_names, schema_id=data.schema_id,
                             class_names=class_names)
         model = svm_mod.train_svm(svm_train, cfg.svm)
@@ -249,13 +254,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    evaluation = metrics_mod.evaluate(pair.test.labels, predicted, class_names)
-    evaluation.train_time = timings["train"]
-    evaluation.predict_time = timings["predict"]
+    evaluation = metrics_mod.evaluate(test.labels, predicted, class_names)
     timings["evaluate"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_total
+    timings["total"] = time.perf_counter() - started
 
-    components = {"standardizer": standardizer, "selector": selector_obj, "classifier": model}
     digests = {"standardizer": _digest(standardizer.to_text()),
                "classifier": _digest(model.to_text())}
     if selector_obj is not None:
@@ -264,11 +266,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     summary = {
         "n_rows": data.n,
         "n_features": data.p,
-        "n_train": pair.train.n,
-        "n_test": pair.test.n,
+        "n_train": train.n,
+        "n_test": test.n,
         "class_distribution": class_distribution(data),
-        # raw token frequencies per categorical column (top 20), so salience
-        # rankings can be compared against plain occurrence counts
+        # training-row token frequencies per categorical column (top 20), so
+        # salience rankings can be compared against plain occurrence counts
         "categorical_occurrences": {
             col: dict(sorted(info["occurrences"].items(), key=lambda kv: (-kv[1], kv[0]))[:20])
             for col, info in data.encoding_map.items()
@@ -276,8 +278,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     }
     return RunRecord(config=cfg, dataset_summary=summary, selector_report=selector_report,
                      selected_features=selected_names, evaluation=evaluation,
-                     timings=timings, components=components, component_digests=digests,
-                     class_counts=class_distribution(data))
+                     timings=timings, component_digests=digests)
 
 
 def report_dict(rec: RunRecord) -> dict:
@@ -341,7 +342,7 @@ def emit_reports(rec: RunRecord, out_dir: str) -> list[str]:
     _atomic_write(path, _selector_csv(rec))
     written.append(path)
 
-    dist = rec.class_counts
+    dist = rec.dataset_summary["class_distribution"]
     path = os.path.join(charts_dir, "class_distribution.svg")
     _atomic_write(path, charts.bar_chart_svg(f"Class distribution ({rec.config.label()})",
                                              list(dist), [float(v) for v in dist.values()]))
@@ -423,15 +424,22 @@ def run_kfold(cfg: ExperimentConfig, folds: int) -> dict:
     cfg.validate()
     if folds < 2:
         raise ConfigError("folds must be >= 2")
-    base = _load_stage(cfg)
-    perm = np.random.default_rng(cfg.seed).permutation(base.n)
-    bounds = np.linspace(0, base.n, folds + 1).astype(int)
+    started = time.perf_counter()
+    raw = _load_stage(cfg)
+    load_s = time.perf_counter() - started
+    if folds > raw.n:
+        raise ConfigError(f"{folds} folds need at least {folds} rows, the data has {raw.n}")
+    perm = np.random.default_rng(cfg.seed).permutation(raw.n)
+    bounds = np.linspace(0, raw.n, folds + 1).astype(int)
     accuracies, macro_f1s = [], []
     for f in range(folds):
-        test_idx = np.sort(perm[bounds[f]:bounds[f + 1]])
-        train_idx = np.sort(np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]]))
-        train, test = base.take(train_idx), base.take(test_idx)
-        rec = _run_on_split(cfg, base, train, test)
+        t0 = time.perf_counter()
+        test_rows = np.sort(perm[bounds[f]:bounds[f + 1]])
+        train_rows = np.sort(np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]]))
+        data = encode_categoricals(raw, cfg.resolved_encoding(), train_rows)
+        train, test = data.take(train_rows), data.take(test_rows)
+        timings = {"load": load_s, "split": time.perf_counter() - t0}
+        rec = _run_split(cfg, data, train, test, timings, t0 - load_s)
         accuracies.append(rec.evaluation.accuracy)
         macro_f1s.append(rec.evaluation.macro_f1)
     return {
@@ -442,32 +450,3 @@ def run_kfold(cfg: ExperimentConfig, folds: int) -> dict:
         "macro_f1_per_fold": macro_f1s,
         "macro_f1_mean": float(np.mean(macro_f1s)),
     }
-
-
-def _run_on_split(cfg: ExperimentConfig, data: Dataset, train: Dataset, test: Dataset) -> RunRecord:
-    """The post-split pipeline shared by the holdout and k-fold paths."""
-    timings: dict[str, float] = {}
-    standardizer = preprocess.fit_standardizer(train.features)
-    x_train = preprocess.transform(standardizer, train.features)
-    x_test = preprocess.transform(standardizer, test.features)
-    x_train_sel, x_test_sel, selected_names, selector_report, selector_obj = _select_stage(
-        cfg, train, x_train, x_test)
-    class_names = list(data.class_names)
-    t0 = time.perf_counter()
-    if cfg.classifier == "rf":
-        model = forest_mod.train_forest_xy(x_train_sel, train.labels, len(class_names),
-                                           cfg.forest, class_names=class_names)
-        predicted = forest_mod.predict(model, x_test_sel)
-    else:
-        svm_train = Dataset(features=x_train_sel, labels=train.labels,
-                            feature_names=selected_names, schema_id=data.schema_id,
-                            class_names=class_names)
-        model = svm_mod.train_svm(svm_train, cfg.svm)
-        predicted = svm_mod.predict(model, x_test_sel)
-    timings["train"] = time.perf_counter() - t0
-    evaluation = metrics_mod.evaluate(test.labels, predicted, class_names)
-    timings["total"] = timings["train"]
-    return RunRecord(config=cfg, dataset_summary={}, selector_report=selector_report,
-                     selected_features=selected_names, evaluation=evaluation,
-                     timings=timings, components={}, component_digests={},
-                     class_counts=class_distribution(data))

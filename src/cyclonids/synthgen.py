@@ -32,6 +32,8 @@ class SynthConfig:
             raise ConfigError("n_noise must be >= 0")
         if self.n_classes < 2:
             raise ConfigError("n_classes must be >= 2")
+        if not np.isfinite(self.class_separation):
+            raise ConfigError(f"class_separation must be finite, got {self.class_separation}")
         if self.n_samples < self.n_classes * 10:
             raise ConfigError(
                 f"n_samples must be >= 10 per class ({self.n_classes * 10}), got {self.n_samples}")

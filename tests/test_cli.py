@@ -134,3 +134,77 @@ def test_gen_non_numeric_synth_value_exits_2(tmp_path, capsys, spec):
     assert code == 2
     assert "must be a number" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("schema", ["kdd99", "synthetic"])
+def test_run_data_directory_exits_3(tmp_path, capsys, schema):
+    code = main(["run", "--schema", schema, "--data", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"cannot read {tmp_path}: Is a directory" in err
+    assert "Traceback" not in err
+
+
+def test_compare_config_directory_exits_3(tmp_path, capsys):
+    code = main(["compare", "--config", str(tmp_path)])
+    assert code == 3
+    assert f"cannot read {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
+def test_run_unreadable_data_file_exits_3(tmp_path, capsys, monkeypatch):
+    from cyclonids import dataset
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    path = tmp_path / "data.csv"
+    path.write_text(_kdd_line() + "\n")
+    monkeypatch.setattr(dataset, "open", denied, raising=False)
+    code = main(["run", "--schema", "kdd99", "--data", str(path)])
+    assert code == 3
+    assert f"cannot read {path}: Permission denied" in capsys.readouterr().err
+
+
+def test_gen_out_directory_exits_2(tmp_path, capsys):
+    code = main(["gen", "--synth", "n=200,inf=2,noise=1,classes=2,sep=5,seed=1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert f"cannot write --out {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("folds", [None, "3"])
+def test_run_out_existing_file_exits_2(tmp_path, capsys, folds):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    argv = ["run", "--schema", "synthetic",
+            "--synth", "n=200,inf=2,noise=1,classes=2,sep=10,seed=6", "--out", str(out)]
+    code = main(argv + (["--folds", folds] if folds else []))
+    assert code == 2
+    assert f"cannot write --out {out}: File exists" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("sep", ["nan", "inf"])
+def test_gen_non_finite_separation_exits_2(tmp_path, capsys, sep):
+    code = main(["gen", "--synth", f"n=200,inf=2,noise=1,classes=2,sep={sep},seed=1",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "class_separation must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_run_more_folds_than_rows_exits_2(capsys):
+    code = main(["run", "--schema", "synthetic",
+                 "--synth", "n=200,inf=2,noise=1,classes=2,sep=10,seed=6", "--folds", "500"])
+    assert code == 2
+    assert "500 folds need at least 500 rows, the data has 200" in capsys.readouterr().err
+
+
+def test_compare_rejects_folds_line(tmp_path, capsys):
+    line = "--schema synthetic --synth n=200,inf=2,noise=1,classes=2,sep=10,seed=5 --folds 3"
+    config = tmp_path / "experiments.txt"
+    config.write_text(line + "\n")
+    code = main(["compare", "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--folds is not allowed" in err and line in err

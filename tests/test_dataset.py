@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclonids import dataset as dataset_mod
 from cyclonids.dataset import (CategoricalEncoder, Dataset, class_distribution,
                                encode_categoricals, kdd99_schema, load_csv, load_dataset,
-                               nslkdd_schema, numeric_schema, schema_by_name, split,
-                               ugransome_schema, write_csv)
+                               nslkdd_schema, numeric_schema, read_synthetic_schema,
+                               schema_by_name, split, ugransome_schema, write_csv)
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.synthgen import SynthConfig, gen_classification
 
@@ -183,6 +186,23 @@ def test_ordinal_unseen_token_gets_reserved_code(tmp_path):
     assert d.features[0, col] == 2.0
 
 
+def test_fit_rows_vocabulary_sends_other_tokens_to_unknown(tmp_path):
+    schema, rows = _token_raw(["TCP", "UDP", "ICMP"])
+    raw = load_csv(_write(tmp_path, "ug.csv", "\n".join(rows) + "\n"), schema)
+    fit_rows = np.array([0, 1])
+
+    d = encode_categoricals(raw, "onehot", fit_rows)
+    cols = [i for i, n in enumerate(d.feature_names) if n.startswith("protocol=")]
+    assert [d.feature_names[i] for i in cols] == [
+        "protocol=TCP", "protocol=UDP", "protocol=__unknown__"]
+    assert d.features[:, cols].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert d.encoding_map["protocol"]["occurrences"] == {"TCP": 1, "UDP": 1}
+
+    d = encode_categoricals(raw, "ordinal", fit_rows)
+    assert d.features[:, d.feature_names.index("protocol")].tolist() == [0.0, 1.0, 2.0]
+    assert d.encoding_map["protocol"]["unknown_code"] == 2
+
+
 def test_encoding_totality(tmp_path):
     schema, rows = _token_raw(["TCP", "UDP", "ICMP", "TCP"])
     path = _write(tmp_path, "ug.csv", "\n".join(rows) + "\n")
@@ -292,6 +312,24 @@ def test_dataset_is_read_only():
     d = _tiny_dataset(5)
     with pytest.raises(ValueError):
         d.features[0, 0] = 99.0
+
+
+def test_unreadable_path_is_a_data_error(tmp_path, monkeypatch):
+    message = f"cannot read {re.escape(str(tmp_path))}: Is a directory"
+    with pytest.raises(DataError, match=message):
+        load_csv(str(tmp_path), kdd99_schema())
+    with pytest.raises(DataError, match=message):
+        read_synthetic_schema(str(tmp_path))
+
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    path = _write(tmp_path, "kdd.csv", _kdd_row() + "\n")
+    monkeypatch.setattr(dataset_mod, "open", denied, raising=False)
+    with pytest.raises(DataError, match="cannot read .*kdd.csv: Permission denied"):
+        load_csv(path, kdd99_schema())
+    with pytest.raises(DataError, match="cannot read .*kdd.csv: Permission denied"):
+        read_synthetic_schema(path)
 
 
 def test_non_utf8_byte_names_its_line(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from cyclonids import forest as forest_mod
 from cyclonids import pca as pca_mod
 from cyclonids import preprocess
-from cyclonids.dataset import split
+from cyclonids.dataset import holdout_rows, split
 from cyclonids.errors import ConfigError
 from cyclonids.runner import (ExperimentConfig, compare_datasets, emit_reports, report_dict,
                               run_experiment, run_kfold, strip_timings)
@@ -188,3 +188,23 @@ def test_ugransome_shaped_end_to_end(tmp_path):
         out = str(tmp_path / f"out_{selector}_{classifier}")
         emit_reports(rec, out)
         assert os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_token_seen_only_in_test_rows_stays_out_of_the_vocabulary(tmp_path):
+    path = tmp_path / "ug.csv"
+    _write_ugransome_like(str(path))
+    lines = path.read_text().splitlines()
+    _, test_rows = holdout_rows(len(lines), 0.2, 42)
+    fields = lines[test_rows[0]].split(",")
+    fields[12] = "GRE"  # protocol
+    lines[test_rows[0]] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+    rec = run_experiment(ExperimentConfig.make(
+        schema="ugransome", data_path=str(path), selector="none", classifier="rf",
+        encoding="onehot", seed=42))
+    assert "protocol=__unknown__" in rec.selected_features
+    assert "protocol=GRE" not in rec.selected_features
+    occurrences = report_dict(rec)["dataset"]["categorical_occurrences"]["protocol"]
+    assert "GRE" not in occurrences
+    assert sum(occurrences.values()) == rec.dataset_summary["n_train"]

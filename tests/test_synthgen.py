@@ -65,6 +65,8 @@ def test_informative_indices_point_at_signal():
     dict(n_samples=100, n_informative=1, n_noise=1, n_classes=1),
     dict(n_samples=15, n_informative=1, n_noise=1, n_classes=2),
     dict(n_samples=100, n_informative=1, n_noise=-1, n_classes=2),
+    dict(n_samples=100, n_informative=1, n_noise=1, n_classes=2, class_separation=float("nan")),
+    dict(n_samples=100, n_informative=1, n_noise=1, n_classes=2, class_separation=float("inf")),
 ])
 def test_invalid_configs(kwargs):
     with pytest.raises(ConfigError):
