@@ -135,16 +135,17 @@ def _writing(out: str):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if args.folds:
-        summary = run_kfold(cfg, args.folds)
-        print(f"{args.folds}-fold accuracy: mean={summary['accuracy_mean']:.4f} "
+    if args.out:  # before loading, so an --out that cannot be written fails fast
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
+    if cfg.folds is not None:
+        summary = run_kfold(cfg)
+        print(f"{cfg.folds}-fold accuracy: mean={summary['accuracy_mean']:.4f} "
               f"std={summary['accuracy_std']:.4f} macro_f1 mean={summary['macro_f1_mean']:.4f}")
         if args.out:
             path = os.path.join(args.out, "kfold.json")
-            with _writing(args.out):
-                os.makedirs(args.out, exist_ok=True)
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(summary, handle, indent=2, sort_keys=True)
+            with _writing(args.out), open(path, "w", encoding="utf-8") as handle:
+                json.dump(summary, handle, indent=2, sort_keys=True)
             print(f"wrote {path}")
         return 0
     rec = run_experiment(cfg)
@@ -175,6 +176,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError(f"bad experiment line: {line}") from None
         if line_args.folds is not None:
             raise ConfigError(f"compare runs holdouts only; --folds is not allowed: {line}")
+        if line_args.out is not None:
+            raise ConfigError(f"compare writes only to its own --out; --out is not allowed: {line}")
         configs.append(_config_from_args(line_args))
     if not configs:
         raise ConfigError(f"no experiment lines found in {args.config}")

@@ -1,17 +1,23 @@
 """Dataset ingestion, categorical encoding, and train/test splitting.
 
 Supports the KDD99 / NSL-KDD / UGRansome intrusion-detection corpora plus
-purely numeric synthetic data. All loaders produce the same in-memory
-representation so the rest of the pipeline never cares where rows came from.
+purely numeric synthetic data. ``load_csv`` is the only code that reads an
+input CSV and reads it once, inferring the schema of a synthetic file from
+its header on the way; it produces the same in-memory representation as the
+generated ``--synth`` rows, so the rest of the pipeline never cares where
+rows came from.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -250,25 +256,6 @@ def synthetic_schema(feature_names: list[str], class_names: list[str],
     return DatasetSchema(schema_id, tuple(cols), tuple(class_names), label_map)
 
 
-def read_synthetic_schema(path: str) -> DatasetSchema:
-    """Schema of a CSV written by `cyclonids gen`: feature names from its
-    header, class names (sorted) from its last column."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            header = handle.readline().strip().split(",")
-            classes: dict[str, None] = {}
-            for row in csv.reader(handle):
-                if row:
-                    classes.setdefault(row[-1].strip(), None)
-    except OSError as exc:
-        raise unreadable(path, exc) from None
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    if len(header) < 2:
-        raise DataError(f"cannot infer synthetic schema from {path}")
-    return synthetic_schema(header[:-1], sorted(classes))
-
-
 def schema_by_name(name: str) -> DatasetSchema:
     builders = {"kdd99": kdd99_schema, "nslkdd": nslkdd_schema, "ugransome": ugransome_schema}
     if name not in builders:
@@ -310,87 +297,99 @@ def _normalize_label(token: str) -> str:
     return token.strip().rstrip(".").lower()
 
 
-def _looks_like_header(row: list[str], schema: DatasetSchema) -> bool:
-    numeric_positions = [c.position for c in schema.columns
-                         if c.kind == NUMERIC and c.position not in schema.drop_columns]
-    if not numeric_positions:
-        return False
-    return any(_parse_numeric(row[pos]) is None for pos in numeric_positions)
+def _fields(positions: list[int]):
+    """Function from a row to the sequence of its fields at ``positions``."""
+    return itemgetter(*positions) if len(positions) > 1 else lambda row: [row[p] for p in positions]
 
 
-def load_csv(path: str, schema: DatasetSchema) -> RawDataset:
-    """Parse a CSV file against a schema.
+def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
+    """Parse a CSV file against a schema in one pass.
 
-    Numeric fields become floats, categorical fields stay as stripped tokens,
-    and the label column is mapped to a class index. Rows whose numeric fields
-    do not parse (or parse to NaN/inf) are dropped and their 1-based line
-    numbers recorded in ``rejected_rows``. A wrong field count, an unmapped
-    label or a byte that is not UTF-8 aborts the load.
+    ``schema=None`` reads a CSV as ``cyclonids gen`` writes it: the first
+    non-empty record names the features, the last column is the label, and
+    the classes are the sorted distinct stripped labels, matched verbatim.
+    Otherwise a first record whose numeric fields do not all parse is a
+    header. Numeric fields become floats, categorical fields stay as stripped
+    tokens, and labels become class indices. Rows whose numeric fields do not
+    parse (or parse to NaN/inf) are dropped and their 1-based line numbers
+    recorded in ``rejected_rows``. A wrong field count, an unmapped label or
+    a byte that is not UTF-8 aborts the load.
     """
-    feature_cols = schema.feature_columns()
-    values: list[list] = [[] for _ in feature_cols]
-    labels: list[int] = []
-    rejected: list[int] = []
-    class_index = {name: i for i, name in enumerate(schema.class_names)}
-
-    first = True
+    numbers, tokens = array("d"), []  # row-major numeric and categorical fields of kept rows
+    labels, kept_lines, rejected = array("q"), array("q"), []
+    codes: dict[str, int] = {}  # raw label token -> class index (first-seen index if inferred)
+    classes: dict[str, int] = {}  # inferred class name -> first-seen index
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            for lineno, row in enumerate(csv.reader(handle), start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
+            records = ((lineno, row) for lineno, row in enumerate(csv.reader(handle), start=1)
+                       if row and (len(row) > 1 or row[0].strip()))
+            lineno, row = next(records, (0, []))
+            infer = schema is None
+            if infer and len(row) < 2:
+                raise DataError(f"cannot infer synthetic schema from {path}")
+            if infer:
+                schema = synthetic_schema(row[:-1], [])
+            feature_cols = schema.feature_columns()
+            numeric_pos = [c.position for c in feature_cols if c.kind == NUMERIC]
+            token_pos = [c.position for c in feature_cols if c.kind == CATEGORICAL]
+            numeric, categorical = _fields(numeric_pos), _fields(token_pos)
+            if not infer and row and (len(row) != schema.arity or all(
+                    _parse_numeric(row[p]) is not None for p in numeric_pos)):
+                # not a header: a data row, or one whose arity the loop reports
+                records = itertools.chain([(lineno, row)], records)
+
+            for lineno, row in records:
                 if len(row) != schema.arity:
                     raise DataError(
                         f"arity mismatch at row {lineno}: expected {schema.arity} fields, got {len(row)}")
-                if first:
-                    first = False
-                    if _looks_like_header(row, schema):
-                        continue
-
-                raw_label = _normalize_label(row[schema.label_position])
-                if raw_label not in schema.label_map:
-                    raise DataError(f"unknown label '{row[schema.label_position].strip()}' at row {lineno}")
-
-                parsed: list = []
-                ok = True
-                for col in feature_cols:
-                    token = row[col.position]
-                    if col.kind == NUMERIC:
-                        value = _parse_numeric(token)
-                        if value is None:
-                            ok = False
-                            break
-                        parsed.append(value)
+                token = row[schema.label_position]
+                code = codes.get(token)
+                if code is None:
+                    if infer:
+                        code = classes.setdefault(token.strip(), len(classes))
+                    elif _normalize_label(token) in schema.label_map:
+                        code = schema.class_names.index(schema.label_map[_normalize_label(token)])
                     else:
-                        parsed.append(token.strip())
-                if not ok:
-                    rejected.append(lineno)
-                    continue
+                        raise DataError(f"unknown label '{token.strip()}' at row {lineno}")
+                    codes[token] = code
 
-                for store, value in zip(values, parsed):
-                    store.append(value)
-                labels.append(class_index[schema.label_map[raw_label]])
+                try:
+                    values = list(map(float, numeric(row)))
+                except ValueError:
+                    values = [_parse_numeric(t) for t in numeric(row)]
+                    if None in values:
+                        rejected.append(lineno)
+                        continue
+                numbers.extend(values)
+                tokens.extend(categorical(row))
+                labels.append(code)
+                kept_lines.append(lineno)
     except OSError as exc:
         raise unreadable(path, exc) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
-    if not labels and not rejected:
-        raise DataError(f"empty file: {path}")
-    if not labels:
-        raise DataError(f"no usable rows in {path}: all {len(rejected)} rows had unparseable numeric fields")
+    block = np.frombuffer(numbers).reshape(len(labels), len(numeric_pos))
+    cats = np.array([t.strip() for t in tokens], dtype=object).reshape(len(labels), len(token_pos))
+    labels = np.asarray(labels, dtype=np.int64)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():  # float() takes nan and inf; _parse_numeric rejects them
+        rejected = sorted(rejected + np.asarray(kept_lines)[~finite].tolist())
+        block, cats, labels = block[finite], cats[finite], labels[finite]
+    if not len(labels):
+        raise DataError(f"no usable rows in {path}: all {len(rejected)} rows had unparseable "
+                        "numeric fields" if rejected else f"empty file: {path}")
     if rejected:
         log.warning("%s: rejected %d row(s) with unparseable numeric fields (first: row %d)",
                     path, len(rejected), rejected[0])
+    if infer:
+        rank = {name: i for i, name in enumerate(sorted(classes))}
+        labels = np.array([rank[name] for name in classes], dtype=np.int64)[labels]
+        schema = synthetic_schema([c.name for c in feature_cols], list(rank))
 
-    columns = []
-    for col, store in zip(feature_cols, values):
-        if col.kind == NUMERIC:
-            columns.append(np.asarray(store, dtype=np.float64))
-        else:
-            columns.append(np.asarray(store, dtype=object))
-    return RawDataset(schema=schema, columns=columns, labels=np.asarray(labels, dtype=np.int64),
-                      rejected_rows=rejected)
+    numeric_cols, token_cols = iter(block.T), iter(cats.T)
+    columns = [next(numeric_cols) if c.kind == NUMERIC else next(token_cols) for c in feature_cols]
+    return RawDataset(schema=schema, columns=columns, labels=labels, rejected_rows=rejected)
 
 
 def write_csv(d: Dataset, path: str) -> None:

@@ -1,7 +1,8 @@
 """End-to-end experiment orchestration.
 
-Pipeline order is fixed: load -> encode (vocabulary from the training rows
-only) -> split -> standardize, select features and train the classifier
+Pipeline order is fixed: load (one ``load_csv`` pass over the input file,
+or the generated ``--synth`` rows) -> encode (vocabulary from the training
+rows only) -> split -> standardize, select features and train the classifier
 (each fitted on the training split only) -> evaluate on the held-out split.
 No statistic of the test split ever reaches a fitted component, and every
 random stage is seeded, so a config reproduces its report bit for bit apart
@@ -31,8 +32,7 @@ from . import preprocess
 from . import svm as svm_mod
 from .boruta import BorutaConfig
 from .dataset import (Dataset, RawDataset, class_distribution, encode_categoricals,
-                      holdout_rows, load_csv, numeric_schema, read_synthetic_schema,
-                      schema_by_name, split)
+                      holdout_rows, load_csv, numeric_schema, schema_by_name, split)
 from .errors import ConfigError
 from .forest import ForestConfig
 from .metrics import EvaluationReport
@@ -139,11 +139,7 @@ def _load_stage(cfg: ExperimentConfig) -> RawDataset:
     if cfg.schema == "synthetic" and cfg.synth is not None:
         d, _ = gen_classification(cfg.synth)
         return RawDataset(numeric_schema(d), list(d.features.T), d.labels)
-    if cfg.schema == "synthetic":
-        # A synthetic CSV written by `cyclonids gen` carries its own header;
-        # infer the schema from it.
-        return load_csv(cfg.data_path, read_synthetic_schema(cfg.data_path))
-    return load_csv(cfg.data_path, schema_by_name(cfg.schema))
+    return load_csv(cfg.data_path, None if cfg.schema == "synthetic" else schema_by_name(cfg.schema))
 
 
 def _select_stage(cfg: ExperimentConfig, train: Dataset, x_train: np.ndarray,
@@ -419,11 +415,12 @@ def comparison_csv(rows: list[dict]) -> str:
     return "\n".join(out) + "\n"
 
 
-def run_kfold(cfg: ExperimentConfig, folds: int) -> dict:
-    """Optional k-fold extension: k seeded holdout rounds over disjoint folds."""
+def run_kfold(cfg: ExperimentConfig) -> dict:
+    """Optional k-fold extension: ``cfg.folds`` seeded holdout rounds over disjoint folds."""
     cfg.validate()
-    if folds < 2:
-        raise ConfigError("folds must be >= 2")
+    if cfg.folds is None:
+        raise ConfigError("k-fold needs folds set in the config")
+    folds = cfg.folds
     started = time.perf_counter()
     raw = _load_stage(cfg)
     load_s = time.perf_counter() - started

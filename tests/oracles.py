@@ -5,16 +5,22 @@ eigenvalues come from power iteration with deflation instead of a library
 eigensolver, metrics from explicit pair counting, SVM objectives from a
 multi-resolution lattice search, separability from exhaustive threshold
 enumeration, the best tree split from exhaustive midpoint enumeration
-with row-by-row class counting, and the SVM's SMO trajectory from the plain
-solver that rebuilds its gradient and working sets on every step.
+with row-by-row class counting, the SVM's SMO trajectory from the plain
+solver that rebuilds its gradient and working sets on every step, and CSV
+loading from the two-pass loader that parses one Python float per field.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import logging
 import math
 
 import numpy as np
+
+from cyclonids.dataset import NUMERIC, RawDataset, _not_utf8, synthetic_schema
+from cyclonids.errors import DataError, unreadable
 
 
 def power_iteration_eigenvalues(matrix: np.ndarray, max_steps: int = 10000,
@@ -257,3 +263,119 @@ def reference_smo(x: np.ndarray, y_pm: np.ndarray, cfg):
             break
 
     return best_w, best_b, history
+
+
+# --------------------------------------------------------------------------
+# Reference CSV loader: the two-pass loader that held before load_csv read
+# each file once. `reference_read_synthetic_schema` scans a `cyclonids gen`
+# file for its header and classes, and `reference_load_csv` then parses the
+# file row by row, each numeric field through `_reference_parse_numeric`.
+# --------------------------------------------------------------------------
+
+def reference_read_synthetic_schema(path: str):
+    """Schema of a CSV written by `cyclonids gen`: feature names from its
+    header, class names (sorted) from its last column."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            header = handle.readline().strip().split(",")
+            classes: dict[str, None] = {}
+            for row in csv.reader(handle):
+                if row:
+                    classes.setdefault(row[-1].strip(), None)
+    except OSError as exc:
+        raise unreadable(path, exc) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    if len(header) < 2:
+        raise DataError(f"cannot infer synthetic schema from {path}")
+    return synthetic_schema(header[:-1], sorted(classes))
+
+
+def _reference_parse_numeric(token: str) -> float | None:
+    token = token.strip()
+    try:
+        value = float(token)
+    except ValueError:
+        try:
+            value = float(token.replace(" ", ""))
+        except ValueError:
+            return None
+    return value if math.isfinite(value) else None
+
+
+def _reference_looks_like_header(row: list[str], schema) -> bool:
+    numeric_positions = [c.position for c in schema.columns
+                         if c.kind == NUMERIC and c.position not in schema.drop_columns]
+    if not numeric_positions:
+        return False
+    return any(_reference_parse_numeric(row[pos]) is None for pos in numeric_positions)
+
+
+def reference_load_csv(path: str, schema):
+    """Parse a CSV file against a schema, one Python float or token per field."""
+    feature_cols = schema.feature_columns()
+    values: list[list] = [[] for _ in feature_cols]
+    labels: list[int] = []
+    rejected: list[int] = []
+    class_index = {name: i for i, name in enumerate(schema.class_names)}
+
+    first = True
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            for lineno, row in enumerate(csv.reader(handle), start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != schema.arity:
+                    raise DataError(
+                        f"arity mismatch at row {lineno}: expected {schema.arity} fields, got {len(row)}")
+                if first:
+                    first = False
+                    if _reference_looks_like_header(row, schema):
+                        continue
+
+                # KDD99 rows terminate the label with a period.
+                raw_label = row[schema.label_position].strip().rstrip(".").lower()
+                if raw_label not in schema.label_map:
+                    raise DataError(f"unknown label '{row[schema.label_position].strip()}' at row {lineno}")
+
+                parsed: list = []
+                ok = True
+                for col in feature_cols:
+                    token = row[col.position]
+                    if col.kind == NUMERIC:
+                        value = _reference_parse_numeric(token)
+                        if value is None:
+                            ok = False
+                            break
+                        parsed.append(value)
+                    else:
+                        parsed.append(token.strip())
+                if not ok:
+                    rejected.append(lineno)
+                    continue
+
+                for store, value in zip(values, parsed):
+                    store.append(value)
+                labels.append(class_index[schema.label_map[raw_label]])
+    except OSError as exc:
+        raise unreadable(path, exc) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+    if not labels and not rejected:
+        raise DataError(f"empty file: {path}")
+    if not labels:
+        raise DataError(f"no usable rows in {path}: all {len(rejected)} rows had unparseable numeric fields")
+    if rejected:
+        logging.getLogger("cyclonids.dataset").warning(
+            "%s: rejected %d row(s) with unparseable numeric fields (first: row %d)",
+            path, len(rejected), rejected[0])
+
+    columns = []
+    for col, store in zip(feature_cols, values):
+        if col.kind == NUMERIC:
+            columns.append(np.asarray(store, dtype=np.float64))
+        else:
+            columns.append(np.asarray(store, dtype=object))
+    return RawDataset(schema=schema, columns=columns, labels=np.asarray(labels, dtype=np.int64),
+                      rejected_rows=rejected)

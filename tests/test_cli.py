@@ -208,3 +208,38 @@ def test_compare_rejects_folds_line(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "--folds is not allowed" in err and line in err
+
+
+def test_run_synthetic_labels_ending_in_a_period(tmp_path, capsys):
+    rows = [f"{0.1 * i!r},{i % 2 + 0.05 * i!r},{'xy'[i % 2]}." for i in range(40)]
+    path = tmp_path / "dot.csv"
+    path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "res"
+    code = main(["run", "--schema", "synthetic", "--data", str(path), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    report = json.load(open(out / "report.json"))
+    assert report["dataset"]["class_distribution"] == {"x.": 20, "y.": 20}
+
+
+@pytest.mark.parametrize("folds", [None, "3"])
+def test_run_out_existing_file_fails_before_loading(tmp_path, capsys, folds):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    argv = ["run", "--schema", "synthetic", "--data", str(tmp_path / "missing.csv"),
+            "--out", str(out)]
+    code = main(argv + (["--folds", folds] if folds else []))
+    assert code == 2
+    assert f"cannot write --out {out}: File exists" in capsys.readouterr().err
+
+
+def test_compare_rejects_out_line(tmp_path, capsys):
+    target = tmp_path / "line-out"
+    line = ("--schema synthetic --synth n=200,inf=2,noise=1,classes=2,sep=10,seed=5 "
+            f"--out {target}")
+    config = tmp_path / "experiments.txt"
+    config.write_text(line + "\n")
+    code = main(["compare", "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--out is not allowed" in err and line in err
+    assert not target.exists()

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclonids import dataset as dataset_mod
-from cyclonids.dataset import (CategoricalEncoder, Dataset, class_distribution,
-                               encode_categoricals, kdd99_schema, load_csv, load_dataset,
-                               nslkdd_schema, numeric_schema, read_synthetic_schema,
-                               schema_by_name, split, ugransome_schema, write_csv)
+from cyclonids.dataset import (CATEGORICAL, LABEL, NUMERIC, CategoricalEncoder, Dataset,
+                               class_distribution, encode_categoricals, kdd99_schema, load_csv,
+                               load_dataset, nslkdd_schema, numeric_schema, schema_by_name,
+                               split, synthetic_schema, ugransome_schema, write_csv)
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.synthgen import SynthConfig, gen_classification
+from oracles import reference_load_csv, reference_read_synthetic_schema
 
 UGRANSOME_ROW = "SS, WannaCry, 60.0, 400, 1, 1dice6yg, 4ePEyKtk, 5062, Bonet, 1819000, A, AF, TCP, 40"
 
@@ -135,6 +136,142 @@ def test_nslkdd_drops_difficulty(tmp_path):
     path = _write(tmp_path, "nsl.csv", row + "\n")
     raw = load_csv(path, nslkdd_schema())
     assert len(raw.columns) == 41  # difficulty gone, label separate
+
+
+def test_synthetic_schema_is_inferred_from_the_header(tmp_path):
+    path = _write(tmp_path, "s.csv", "f0,f1,label\n0.5,1.5,b\n0.25,-1.0, a \n1.0,2.0,b\n")
+    raw = load_csv(path, None)
+    assert raw.schema == synthetic_schema(["f0", "f1"], ["a", "b"])
+    assert raw.labels.tolist() == [1, 0, 1]
+    assert [col.tolist() for col in raw.columns] == [[0.5, 0.25, 1.0], [1.5, -1.0, 2.0]]
+
+
+def test_synthetic_labels_ending_in_a_period_are_classes(tmp_path):
+    path = _write(tmp_path, "s.csv", "f0,label\n0.5,x.\n1.5,y.\n2.5,x.\n")
+    raw = load_csv(path, None)
+    assert raw.schema.class_names == ("x.", "y.")
+    assert raw.labels.tolist() == [0, 1, 0]
+
+
+def test_synthetic_labels_differing_in_case_are_distinct_classes(tmp_path):
+    path = _write(tmp_path, "s.csv", "f0,label\n0.5,Normal\n1.5,normal\n2.5,Attack\n3.5,Normal\n")
+    raw = load_csv(path, None)
+    assert raw.schema.class_names == ("Attack", "Normal", "normal")
+    assert raw.labels.tolist() == [1, 2, 0, 1]
+
+
+def test_synthetic_whitespace_line_adds_no_class(tmp_path):
+    path = _write(tmp_path, "s.csv", "f0,label\n0.5,a\n   \n1.5,b\n")
+    raw = load_csv(path, None)
+    assert raw.schema.class_names == ("a", "b")
+    assert raw.labels.tolist() == [0, 1]
+
+
+# ---------------------------------------------------------------- reference loader
+
+_BAD_NUMERIC = ("nan", "NaN", "-inf", "inf", "1e999", "?", "", "-", "1.2.3", "0x1f", "n/a")
+_TOKENS = ("tcp", "udp", "ICMP", " http ", "a b", '"x,y"', "SF")
+_SYNTHETIC_CLASSES = ("c0", "c1", "c2", "attack", "Normal", "dos_1", "x y", "", "C-9")
+
+
+def _numeric_token(rng) -> str:
+    kind = rng.integers(8)
+    if kind == 0:
+        return f"{int(rng.integers(1000, 10**7)):,}".replace(",", " ")  # grouped digits
+    if kind == 1:
+        return f" {int(rng.integers(0, 600))} "
+    if kind == 2:
+        return str(int(rng.integers(-5, 5)))
+    return repr(float(rng.normal(0.0, 10.0 ** int(rng.integers(0, 6)))))
+
+
+def _random_label(rng, schema) -> str:
+    if schema.id == "ugransome":
+        label = str(rng.choice(sorted(schema.label_map)))
+    else:
+        label = str(rng.choice(sorted(schema.label_map))) + ("." if rng.random() < 0.7 else "")
+    label = (label, label.upper(), label.title())[int(rng.integers(3))]
+    return " " + label if rng.random() < 0.2 else label
+
+
+def _random_csv(rng, layout: str) -> str:
+    """Text of one CSV in the given layout with the quirks the loader handles."""
+    n_rows = int(rng.integers(0, 40))
+    if layout == "synthetic":
+        # as `cyclonids gen` writes it; blank lines only after the header
+        p = int(rng.integers(1, 6))
+        classes = rng.choice(_SYNTHETIC_CLASSES, size=int(rng.integers(1, 4)), replace=False)
+        lines = [",".join([f"f{i}" for i in range(p)] + ["label"])]
+        for _ in range(n_rows):
+            fields = [_numeric_token(rng) for _ in range(p)]
+            if rng.random() < 0.15:
+                fields[int(rng.integers(p))] = str(rng.choice(_BAD_NUMERIC))
+            label = str(rng.choice(classes))
+            lines.append(",".join(fields + [" " + label if rng.random() < 0.2 else label]))
+            if rng.random() < 0.1:
+                lines.append("")
+    else:
+        schema = schema_by_name(layout)
+        cols = sorted(schema.columns, key=lambda c: c.position)
+        lines = [",".join(c.name for c in cols)] if rng.random() < 0.5 else []
+        numeric = [c.position for c in schema.feature_columns() if c.kind == NUMERIC]
+        for _ in range(n_rows):
+            fields = []
+            for c in cols:
+                if c.kind == LABEL:
+                    fields.append(_random_label(rng, schema))
+                elif c.kind == CATEGORICAL:
+                    fields.append(str(rng.choice(_TOKENS)))
+                elif c.position in schema.drop_columns:
+                    fields.append(str(rng.choice(["21", "?", " 3 "])))
+                else:
+                    fields.append(_numeric_token(rng))
+            if rng.random() < 0.15:
+                fields[int(rng.choice(numeric))] = str(rng.choice(_BAD_NUMERIC))
+            if rng.random() < 0.005:
+                fields[schema.label_position] = "warpdrive."
+            if rng.random() < 0.005:
+                fields.pop()
+            lines.append(",".join(fields))
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", "   "])))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def _load_or_error(load, *args):
+    try:
+        return load(*args)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("layout", ["kdd99", "nslkdd", "ugransome", "synthetic"])
+def test_one_pass_loader_matches_the_reference_loader(tmp_path, layout):
+    rng = np.random.default_rng(["kdd99", "nslkdd", "ugransome", "synthetic"].index(layout))
+    schema = None if layout == "synthetic" else schema_by_name(layout)
+    outcomes = set()
+    for i in range(80):
+        path = _write(tmp_path, f"{i}.csv", _random_csv(rng, layout))
+        expected = _load_or_error(
+            lambda: reference_load_csv(path, schema or reference_read_synthetic_schema(path)))
+        got = _load_or_error(load_csv, path, schema)
+        if isinstance(expected, str):
+            assert got == expected, path
+            outcomes.add("error")
+            continue
+        assert got.schema == expected.schema, path
+        assert got.labels.dtype == np.int64 and got.labels.tobytes() == expected.labels.tobytes()
+        assert got.rejected_rows == expected.rejected_rows, path
+        assert len(got.columns) == len(expected.columns)
+        for mine, ref in zip(got.columns, expected.columns):
+            assert mine.dtype == ref.dtype, path
+            if ref.dtype == object:
+                assert mine.tolist() == ref.tolist(), path
+            else:
+                assert mine.tobytes() == ref.tobytes(), path
+        outcomes.add("rejected" if got.rejected_rows else "clean")
+    assert outcomes == {"error", "rejected", "clean"}
 
 
 # ---------------------------------------------------------------- encoding
@@ -319,7 +456,7 @@ def test_unreadable_path_is_a_data_error(tmp_path, monkeypatch):
     with pytest.raises(DataError, match=message):
         load_csv(str(tmp_path), kdd99_schema())
     with pytest.raises(DataError, match=message):
-        read_synthetic_schema(str(tmp_path))
+        load_csv(str(tmp_path), None)
 
     def denied(path, *args, **kwargs):
         raise PermissionError(13, "Permission denied", path)
@@ -329,7 +466,7 @@ def test_unreadable_path_is_a_data_error(tmp_path, monkeypatch):
     with pytest.raises(DataError, match="cannot read .*kdd.csv: Permission denied"):
         load_csv(path, kdd99_schema())
     with pytest.raises(DataError, match="cannot read .*kdd.csv: Permission denied"):
-        read_synthetic_schema(path)
+        load_csv(path, None)
 
 
 def test_non_utf8_byte_names_its_line(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from cyclonids import forest as forest_mod
 from cyclonids import pca as pca_mod
 from cyclonids import preprocess
-from cyclonids.dataset import holdout_rows, split
+from cyclonids.dataset import holdout_rows, split, write_csv
 from cyclonids.errors import ConfigError
 from cyclonids.runner import (ExperimentConfig, compare_datasets, emit_reports, report_dict,
                               run_experiment, run_kfold, strip_timings)
@@ -130,10 +130,33 @@ def test_compare_single_config():
 
 
 def test_kfold_summary():
-    summary = run_kfold(_cfg(), folds=4)
+    summary = run_kfold(_cfg(folds=4))
     assert summary["folds"] == 4
     assert len(summary["accuracy_per_fold"]) == 4
     assert 0.9 <= summary["accuracy_mean"] <= 1.0
+
+
+def test_kfold_needs_folds_in_the_config():
+    with pytest.raises(ConfigError, match="folds"):
+        run_kfold(_cfg())
+
+
+def test_synthetic_csv_is_opened_once_per_run(tmp_path, monkeypatch):
+    from cyclonids import dataset
+
+    path = str(tmp_path / "synth.csv")
+    d, _ = gen_classification(SynthConfig(120, 2, 1, 2, 10.0, seed=8))
+    write_csv(d, path)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dataset, "open", counting_open, raising=False)
+    rec = run_experiment(_cfg(synth=None, data_path=path))
+    assert opened == [path]
+    assert rec.dataset_summary["n_rows"] == 120
 
 
 def test_config_validation_errors():
@@ -144,7 +167,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         run_experiment(_cfg(classifier="xgboost"))
     with pytest.raises(ConfigError):
-        run_kfold(_cfg(selector="magic"), 3)
+        run_kfold(_cfg(selector="magic", folds=3))
 
 
 def test_encoding_resolution_rule():
