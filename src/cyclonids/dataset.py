@@ -18,6 +18,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +140,7 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class SplitPair:
+class SplitPair(NamedTuple):
     train: Dataset
     test: Dataset
 
@@ -310,10 +310,11 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
     the classes are the sorted distinct stripped labels, matched verbatim.
     Otherwise a first record whose numeric fields do not all parse is a
     header. Numeric fields become floats, categorical fields stay as stripped
-    tokens, and labels become class indices. Rows whose numeric fields do not
-    parse (or parse to NaN/inf) are dropped and their 1-based line numbers
-    recorded in ``rejected_rows``. A wrong field count, an unmapped label or
-    a byte that is not UTF-8 aborts the load.
+    tokens, and labels become class indices: a label equal to a class name
+    is that class, and any other goes through the case-folded ``label_map``.
+    Rows whose numeric fields do not parse (or parse to NaN/inf) are dropped
+    and their 1-based line numbers recorded in ``rejected_rows``. A wrong
+    field count, an unmapped label or a byte that is not UTF-8 aborts the load.
     """
     numbers, tokens = array("d"), []  # row-major numeric and categorical fields of kept rows
     labels, kept_lines, rejected = array("q"), array("q"), []
@@ -347,6 +348,8 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                 if code is None:
                     if infer:
                         code = classes.setdefault(token.strip(), len(classes))
+                    elif token.strip() in schema.class_names:  # before case folding
+                        code = schema.class_names.index(token.strip())
                     elif _normalize_label(token) in schema.label_map:
                         code = schema.class_names.index(schema.label_map[_normalize_label(token)])
                     else:
@@ -438,13 +441,16 @@ class CategoricalEncoder:
     def transform(self, raw: RawDataset) -> Dataset:
         if not self._fitted:
             raise ConfigError("encoder used before fit")
-        blocks: list[np.ndarray] = []
+        cols = raw.schema.feature_columns()
+        widths = [len(self.occurrences.get(c.name, {})) + 1
+                  if c.kind == CATEGORICAL and self.strategy == "onehot" else 1 for c in cols]
+        features = np.zeros((raw.n, sum(widths)))  # one-hot cells left unset stay 0
         names: list[str] = []
         encoding_map: dict[str, dict] = {}
 
-        for col, values in zip(raw.schema.feature_columns(), raw.columns):
+        for col, values, at in zip(cols, raw.columns, itertools.accumulate(widths, initial=0)):
             if col.kind == NUMERIC:
-                blocks.append(values.astype(np.float64).reshape(-1, 1))
+                features[:, at] = values
                 names.append(col.name)
                 continue
 
@@ -453,16 +459,14 @@ class CategoricalEncoder:
             unknown = len(index)
             codes = np.array([index.get(t, unknown) for t in values], dtype=np.intp)
             if self.strategy == "ordinal":
-                blocks.append(codes.astype(np.float64).reshape(-1, 1))
+                features[:, at] = codes
                 names.append(col.name)
                 encoding_map[col.name] = {"strategy": "ordinal",
                                           "codes": index,
                                           "unknown_code": unknown,
                                           "occurrences": occurrences}
             else:
-                block = np.zeros((raw.n, unknown + 1), dtype=np.float64)
-                block[np.arange(raw.n), codes] = 1.0
-                blocks.append(block)
+                features[np.arange(raw.n), at + codes] = 1.0
                 col_names = [f"{col.name}={tok}" for tok in index] + [f"{col.name}={UNKNOWN_TOKEN}"]
                 names.extend(col_names)
                 encoding_map[col.name] = {"strategy": "onehot",
@@ -470,7 +474,6 @@ class CategoricalEncoder:
                                           "unknown_column": col_names[-1],
                                           "occurrences": occurrences}
 
-        features = np.hstack(blocks) if blocks else np.zeros((raw.n, 0))
         return Dataset(features=features, labels=raw.labels.copy(), feature_names=names,
                        schema_id=raw.schema.id, class_names=list(raw.schema.class_names),
                        encoding_map=encoding_map)

@@ -1,7 +1,9 @@
 """Principal component analysis over standardized columns.
 
-Fit standardizes the matrix (zero mean, unit sample std per column), then
-eigendecomposes its covariance. Components are sorted by descending
+Fit standardizes the raw matrix (zero mean, unit sample std per column),
+then eigendecomposes its covariance; ``transform`` applies the same
+standardizer to raw rows before projecting them. A run with the PCA selector
+fits no other standardizer. Components are sorted by descending
 eigenvalue, and each loading column is sign-fixed so its largest-magnitude
 entry is non-negative, which makes results deterministic across BLAS builds.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import preprocess
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError
 from .preprocess import Standardizer
 
 _EIG_CLAMP = -1e-10
@@ -39,10 +41,6 @@ class PCAModel:
 
 
 def fit_pca(m: np.ndarray) -> PCAModel:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 2:
-        raise DataError(f"need a 2-D matrix with at least 2 rows, got shape {m.shape}")
-
     standardizer = preprocess.fit_standardizer(m)
     x = preprocess.transform(standardizer, m)
     cov = np.cov(x, rowvar=False, ddof=1)
@@ -73,14 +71,10 @@ def fit_pca(m: np.ndarray) -> PCAModel:
 
 
 def transform(model: PCAModel, m: np.ndarray, k: int) -> np.ndarray:
-    """Project rows onto the first k components of the standardized space."""
+    """Project raw rows, standardized by the model, onto the first k components."""
     if not 1 <= k <= model.p:
         raise ConfigError(f"k must be in [1, {model.p}], got {k}")
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != model.p:
-        raise DataError(f"matrix has {m.shape[1] if m.ndim == 2 else '?'} columns, model expects {model.p}")
-    x = preprocess.transform(model.standardizer, m)
-    return x @ model.loadings[:, :k]
+    return preprocess.transform(model.standardizer, m) @ model.loadings[:, :k]
 
 
 def select_components(model: PCAModel, cumulative_threshold: float) -> int:

@@ -49,7 +49,8 @@ def transform(s: Standardizer, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != s.p:
         raise DataError(f"matrix has {m.shape[1] if m.ndim == 2 else '?'} columns, standardizer expects {s.p}")
-    out = (m - s.means) / s.stds
+    out = m - s.means
+    out /= s.stds
     if s.zero_variance_flags.any():
         out[:, s.zero_variance_flags] = 0.0
     return out

@@ -4,10 +4,14 @@ Pipeline order is fixed: load (one ``load_csv`` pass over the input file,
 or the generated ``--synth`` rows) -> encode (vocabulary from the training
 rows only) -> split -> standardize, select features and train the classifier
 (each fitted on the training split only) -> evaluate on the held-out split.
-No statistic of the test split ever reaches a fitted component, and every
-random stage is seeded, so a config reproduces its report bit for bit apart
-from wall-clock timings. k-fold runs the same post-split pipeline per fold,
-refitting everything, the encoder included, on that fold's training rows.
+A run fits one standardizer: on the PCA path it is the PCA model's, applied
+to raw rows inside the fit and the projection, and otherwise the runner's.
+The dataset summary is taken before the split, so the encoded matrix goes
+right after it, and each split matrix goes after its last use. No statistic
+of the test split ever reaches a fitted component, and every random stage is
+seeded, so a config reproduces its report bit for bit apart from wall-clock
+timings. k-fold runs the same post-split pipeline per fold, refitting
+everything, the encoder included, on that fold's training rows.
 """
 
 from __future__ import annotations
@@ -142,21 +146,36 @@ def _load_stage(cfg: ExperimentConfig) -> RawDataset:
     return load_csv(cfg.data_path, None if cfg.schema == "synthetic" else schema_by_name(cfg.schema))
 
 
-def _select_stage(cfg: ExperimentConfig, train: Dataset, x_train: np.ndarray,
-                  x_test: np.ndarray):
-    """Fit the selector on the (standardized) training split only.
+def _summary(data: Dataset, n_train: int, rejected_rows: list[int]) -> dict:
+    """The report's dataset section, built before the split so ``data`` can go."""
+    return {
+        "n_rows": data.n,
+        "n_features": data.p,
+        "n_train": n_train,
+        "n_test": data.n - n_train,
+        "class_distribution": class_distribution(data),
+        # training-row token frequencies per categorical column (top 20), so
+        # salience rankings can be compared against plain occurrence counts
+        "categorical_occurrences": {
+            col: dict(sorted(info["occurrences"].items(), key=lambda kv: (-kv[1], kv[0]))[:20])
+            for col, info in data.encoding_map.items()
+        },
+        "rejected_rows": {"count": len(rejected_rows), "first": rejected_rows[:20]},
+    }
 
-    Returns (selected train matrix, selected test matrix, feature names,
-    selector report dict, fitted selector object or None).
+
+def _select_stage(cfg: ExperimentConfig, train: Dataset, test: Dataset):
+    """Fit the selector on the training split only and apply it to both splits.
+
+    Returns (selected train split, selected test split, selector report dict,
+    fitted selector object or None).
     """
     names = list(train.feature_names)
     if cfg.selector == "none":
-        return x_train, x_test, names, {"type": "none", "n_features": len(names)}, None
+        return train, test, {"type": "none", "n_features": len(names)}, None
 
     if cfg.selector == "boruta":
-        std_train = Dataset(features=x_train, labels=train.labels, feature_names=names,
-                            schema_id=train.schema_id, class_names=train.class_names)
-        result = boruta_mod.run_boruta(std_train, cfg.boruta)
+        result = boruta_mod.run_boruta(train, cfg.boruta)
         selected = result.selected_indices()
         fallback = None
         if not selected:
@@ -180,10 +199,11 @@ def _select_stage(cfg: ExperimentConfig, train: Dataset, x_train: np.ndarray,
             "final_mzs": result.z_history[-1][1],
             "fallback": fallback,
         }
-        sel_names = [names[i] for i in selected]
-        return x_train[:, selected], x_test[:, selected], sel_names, report, result
+        keep = lambda d: dataclasses.replace(d, features=d.features[:, selected],
+                                             feature_names=[names[i] for i in selected])
+        return keep(train), keep(test), report, result
 
-    model = pca_mod.fit_pca(x_train)
+    model = pca_mod.fit_pca(train.features)
     k = pca_mod.select_components(model, cfg.pca_threshold)
     salience = pca_mod.feature_salience(model)
     report = {
@@ -194,9 +214,9 @@ def _select_stage(cfg: ExperimentConfig, train: Dataset, x_train: np.ndarray,
         "explained_variance_ratio": [float(r) for r in model.explained_variance_ratio],
         "salience": [{"feature": names[idx], "score": score} for idx, score in salience],
     }
-    comp_names = [f"PC{i + 1}" for i in range(k)]
-    return (pca_mod.transform(model, x_train, k), pca_mod.transform(model, x_test, k),
-            comp_names, report, model)
+    project = lambda d: dataclasses.replace(d, features=pca_mod.transform(model, d.features, k),
+                                            feature_names=[f"PC{i + 1}" for i in range(k)])
+    return project(train), project(test), report, model
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
@@ -206,47 +226,50 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     raw = _load_stage(cfg)
     train_rows, _ = holdout_rows(raw.n, cfg.test_fraction, cfg.seed)  # as split() draws them
     data = encode_categoricals(raw, cfg.resolved_encoding(), train_rows)
+    summary = _summary(data, len(train_rows), raw.rejected_rows)
     del raw  # its parsed tokens pin ~400 MB of heap on a 250k-row KDD99 file
     timings = {"load": time.perf_counter() - started}
 
     t0 = time.perf_counter()
-    pair = split(data, cfg.test_fraction, cfg.seed)
+    halves = list(split(data, cfg.test_fraction, cfg.seed))
+    del data
     timings["split"] = time.perf_counter() - t0
-    return _run_split(cfg, data, pair.train, pair.test, timings, started)
+    return _run_split(cfg, summary, halves, timings, started)
 
 
-def _run_split(cfg: ExperimentConfig, data: Dataset, train: Dataset, test: Dataset,
+def _run_split(cfg: ExperimentConfig, summary: dict, halves: list[Dataset],
                timings: dict[str, float], started: float) -> RunRecord:
-    """The post-split pipeline shared by the holdout and k-fold paths: fit on
-    ``train``, evaluate on ``test``, and add each stage's seconds to ``timings``
-    ("total" counts from ``started``)."""
+    """The post-split pipeline shared by the holdout and k-fold paths: fit on train, evaluate
+    on test, and add each stage's seconds to ``timings`` ("total" counts from ``started``).
+    ``halves`` = [train, test] is emptied here, so each split matrix goes after its last use."""
+    train, test = halves
+    halves.clear()
     t0 = time.perf_counter()
-    standardizer = preprocess.fit_standardizer(train.features)
-    x_train = preprocess.transform(standardizer, train.features)
-    x_test = preprocess.transform(standardizer, test.features)
-    timings["standardize"] = time.perf_counter() - t0
+    if cfg.selector != "pca":  # the PCA model fits and applies the run's standardizer
+        standardizer = preprocess.fit_standardizer(train.features)
+        train = dataclasses.replace(train, features=preprocess.transform(standardizer, train.features))
+        test = dataclasses.replace(test, features=preprocess.transform(standardizer, test.features))
+        timings["standardize"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
 
-    t0 = time.perf_counter()
-    x_train_sel, x_test_sel, selected_names, selector_report, selector_obj = _select_stage(
-        cfg, train, x_train, x_test)
+    train, test, selector_report, selector_obj = _select_stage(cfg, train, test)
     timings["select"] = time.perf_counter() - t0
+    standardizer = selector_obj.standardizer if cfg.selector == "pca" else standardizer
 
     t0 = time.perf_counter()
-    class_names = list(data.class_names)
+    class_names, selected_names = list(train.class_names), list(train.feature_names)
     if cfg.classifier == "rf":
-        model = forest_mod.train_forest_xy(x_train_sel, train.labels, len(class_names),
+        model = forest_mod.train_forest_xy(train.features, train.labels, len(class_names),
                                            cfg.forest, class_names=class_names)
         predict = lambda m: forest_mod.predict(model, m)
     else:
-        svm_train = Dataset(features=x_train_sel, labels=train.labels,
-                            feature_names=selected_names, schema_id=data.schema_id,
-                            class_names=class_names)
-        model = svm_mod.train_svm(svm_train, cfg.svm)
+        model = svm_mod.train_svm(train, cfg.svm)
         predict = lambda m: svm_mod.predict(model, m)
+    del train
     timings["train"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    predicted = predict(x_test_sel)
+    predicted = predict(test.features)
     timings["predict"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -258,20 +281,6 @@ def _run_split(cfg: ExperimentConfig, data: Dataset, train: Dataset, test: Datas
                "classifier": _digest(model.to_text())}
     if selector_obj is not None:
         digests["selector"] = _digest(selector_obj.to_text())
-
-    summary = {
-        "n_rows": data.n,
-        "n_features": data.p,
-        "n_train": train.n,
-        "n_test": test.n,
-        "class_distribution": class_distribution(data),
-        # training-row token frequencies per categorical column (top 20), so
-        # salience rankings can be compared against plain occurrence counts
-        "categorical_occurrences": {
-            col: dict(sorted(info["occurrences"].items(), key=lambda kv: (-kv[1], kv[0]))[:20])
-            for col, info in data.encoding_map.items()
-        },
-    }
     return RunRecord(config=cfg, dataset_summary=summary, selector_report=selector_report,
                      selected_features=selected_names, evaluation=evaluation,
                      timings=timings, component_digests=digests)
@@ -434,9 +443,11 @@ def run_kfold(cfg: ExperimentConfig) -> dict:
         test_rows = np.sort(perm[bounds[f]:bounds[f + 1]])
         train_rows = np.sort(np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]]))
         data = encode_categoricals(raw, cfg.resolved_encoding(), train_rows)
-        train, test = data.take(train_rows), data.take(test_rows)
+        summary = _summary(data, len(train_rows), raw.rejected_rows)
+        halves = [data.take(train_rows), data.take(test_rows)]
+        del data
         timings = {"load": load_s, "split": time.perf_counter() - t0}
-        rec = _run_split(cfg, data, train, test, timings, t0 - load_s)
+        rec = _run_split(cfg, summary, halves, timings, t0 - load_s)
         accuracies.append(rec.evaluation.accuracy)
         macro_f1s.append(rec.evaluation.macro_f1)
     return {

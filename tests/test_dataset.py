@@ -160,6 +160,16 @@ def test_synthetic_labels_differing_in_case_are_distinct_classes(tmp_path):
     assert raw.labels.tolist() == [1, 2, 0, 1]
 
 
+@pytest.mark.parametrize("labels", [["Normal", "normal", "Attack", "Normal"], ["x.", "y.", "x."]])
+def test_reloading_with_the_inferred_schema_keeps_the_labels(tmp_path, labels):
+    rows = "".join(f"{i}.5,{label}\n" for i, label in enumerate(labels))
+    path = _write(tmp_path, "s.csv", "f0,label\n" + rows)
+    inferred = load_csv(path, None)
+    reloaded = load_csv(path, inferred.schema)
+    assert reloaded.schema == inferred.schema
+    assert reloaded.labels.tolist() == inferred.labels.tolist()
+
+
 def test_synthetic_whitespace_line_adds_no_class(tmp_path):
     path = _write(tmp_path, "s.csv", "f0,label\n0.5,a\n   \n1.5,b\n")
     raw = load_csv(path, None)

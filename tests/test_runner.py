@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cyclonids import pca as pca_mod
 from cyclonids import preprocess
 from cyclonids.dataset import holdout_rows, split, write_csv
 from cyclonids.errors import ConfigError
+from cyclonids.forest import ForestConfig
 from cyclonids.runner import (ExperimentConfig, compare_datasets, emit_reports, report_dict,
                               run_experiment, run_kfold, strip_timings)
 from cyclonids.synthgen import SynthConfig, gen_classification
@@ -48,10 +50,33 @@ def test_determinism_modulo_timings():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_stage_timings_strictly_positive():
-    rec = run_experiment(_cfg())
+@pytest.mark.parametrize("selector", ["none", "boruta", "pca"])
+def test_stage_timings_strictly_positive(selector):
+    rec = run_experiment(_cfg(selector=selector))
     for stage, seconds in rec.timings.items():
         assert seconds > 0.0, stage
+    assert ("standardize" in rec.timings) == (selector != "pca")
+
+
+@pytest.mark.parametrize("selector", ["none", "boruta", "pca"])
+def test_one_standardizer_per_run_applied_to_raw_rows(monkeypatch, selector):
+    fit, transform = preprocess.fit_standardizer, preprocess.transform
+    fits, outputs, restandardized = [], [], []
+
+    def counting_fit(m):
+        fits.append(m.shape)
+        return fit(m)
+
+    def checking_transform(s, m):
+        restandardized.append(any(np.shares_memory(m, out) for out in outputs))
+        outputs.append(transform(s, m))
+        return outputs[-1]
+
+    monkeypatch.setattr(preprocess, "fit_standardizer", counting_fit)
+    monkeypatch.setattr(preprocess, "transform", checking_transform)
+    rec = run_experiment(_cfg(selector=selector))
+    assert fits == [(rec.dataset_summary["n_train"], rec.dataset_summary["n_features"])]
+    assert outputs and not any(restandardized)
 
 
 def test_no_leakage_digests_match_train_only_refit():
@@ -61,8 +86,8 @@ def test_no_leakage_digests_match_train_only_refit():
     data, _ = gen_classification(cfg.synth)
     pair = split(data, cfg.test_fraction, cfg.seed)
     standardizer = preprocess.fit_standardizer(pair.train.features)
-    x_train = preprocess.transform(standardizer, pair.train.features)
-    model = pca_mod.fit_pca(x_train)
+    model = pca_mod.fit_pca(pair.train.features)
+    assert model.standardizer.to_text() == standardizer.to_text()
 
     import hashlib
     assert rec.component_digests["standardizer"] == hashlib.sha256(
@@ -231,3 +256,53 @@ def test_token_seen_only_in_test_rows_stays_out_of_the_vocabulary(tmp_path):
     occurrences = report_dict(rec)["dataset"]["categorical_occurrences"]["protocol"]
     assert "GRE" not in occurrences
     assert sum(occurrences.values()) == rec.dataset_summary["n_train"]
+
+
+def _write_kdd_like(path, n_rows, malformed=(), n_services=60, seed=0):
+    """KDD99-layout rows over ``n_services`` service tokens; the 1-based lines in
+    ``malformed`` get a src_bytes field that does not parse."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for line in range(1, n_rows + 1):
+        numeric = [str(v) for v in rng.integers(0, 100, 38)]
+        fields = ([numeric[0], ("tcp", "udp", "icmp")[line % 3], f"svc{rng.integers(n_services)}",
+                   ("SF", "REJ", "S0")[line % 3]] + numeric[1:]
+                  + [("normal.", "smurf.", "satan.")[line % 3]])
+        if line in malformed:
+            fields[4] = "n/a"
+        lines.append(",".join(fields))
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def _kdd_cfg(path, selector):
+    return ExperimentConfig.make(schema="kdd99", data_path=path, selector=selector,
+                                 classifier="rf", forest=ForestConfig(n_trees=3, max_depth=4, seed=42),
+                                 seed=42)
+
+
+def test_report_lists_rejected_rows(tmp_path):
+    path = str(tmp_path / "kdd.csv")
+    _write_kdd_like(path, 200, malformed=(3, 150))
+    rec = run_experiment(_kdd_cfg(path, "none"))
+    assert rec.dataset_summary["n_rows"] == 198
+    out = str(tmp_path / "run")
+    emit_reports(rec, out)
+    with open(os.path.join(out, "report.json")) as handle:
+        report = json.load(handle)
+    assert report["dataset"]["rejected_rows"] == {"count": 2, "first": [3, 150]}
+
+
+def test_pca_run_holds_each_feature_matrix_only_until_its_last_use(tmp_path):
+    path = str(tmp_path / "kdd.csv")
+    _write_kdd_like(path, 4000)
+    tracemalloc.start()
+    try:
+        rec = run_experiment(_kdd_cfg(path, "pca"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The two splits, the PCA fit's standardized copy of the train split and
+    # np.cov's centred copy of that come to about 2.6 encoded matrices.
+    matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
+    assert peak < 3.5 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
