@@ -43,8 +43,11 @@ class PCAModel:
 def fit_pca(m: np.ndarray) -> PCAModel:
     standardizer = preprocess.fit_standardizer(m)
     x = preprocess.transform(standardizer, m)
-    cov = np.cov(x, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    # np.cov's arithmetic, without its centred copy: x is a fresh array, so
+    # centre it in place (fit_standardizer has already refused fewer than 2 rows).
+    x -= x.mean(axis=0)
+    cov = x.T @ x
+    cov *= np.true_divide(1, x.shape[0] - 1)
 
     eigenvalues, vectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]

@@ -128,6 +128,7 @@ class RunRecord:
     config: ExperimentConfig
     dataset_summary: dict
     selector_report: dict
+    classifier_report: dict
     selected_features: list[str]
     evaluation: EvaluationReport
     timings: dict[str, float]
@@ -262,9 +263,11 @@ def _run_split(cfg: ExperimentConfig, summary: dict, halves: list[Dataset],
         model = forest_mod.train_forest_xy(train.features, train.labels, len(class_names),
                                            cfg.forest, class_names=class_names)
         predict = lambda m: forest_mod.predict(model, m)
+        classifier_report = {}
     else:
         model = svm_mod.train_svm(train, cfg.svm)
         predict = lambda m: svm_mod.predict(model, m)
+        classifier_report = model.solves
     del train
     timings["train"] = time.perf_counter() - t0
 
@@ -282,8 +285,8 @@ def _run_split(cfg: ExperimentConfig, summary: dict, halves: list[Dataset],
     if selector_obj is not None:
         digests["selector"] = _digest(selector_obj.to_text())
     return RunRecord(config=cfg, dataset_summary=summary, selector_report=selector_report,
-                     selected_features=selected_names, evaluation=evaluation,
-                     timings=timings, component_digests=digests)
+                     classifier_report=classifier_report, selected_features=selected_names,
+                     evaluation=evaluation, timings=timings, component_digests=digests)
 
 
 def report_dict(rec: RunRecord) -> dict:
@@ -293,6 +296,7 @@ def report_dict(rec: RunRecord) -> dict:
         "dataset": rec.dataset_summary,
         "selected_features": rec.selected_features,
         "selector_report": rec.selector_report,
+        "classifier_report": rec.classifier_report,
         "metrics_scope": "test",
         "seed": rec.config.seed,
         "timings": rec.timings,

@@ -11,16 +11,33 @@ an identical model. Inputs are assumed standardized by the caller.
 The working set is tracked incrementally, as in LIBSVM (Chang & Lin 2011)
 and Keerthi et al. (2001): a step moves only two multipliers, so only those
 two rows can enter or leave I_up and I_low, and the sets are kept between
-steps instead of being rebuilt. A step then costs the gemv that updates the
-cached margins plus four length-n passes (a subtraction and an
-arg-reduction per set), and follows the same trajectory, bit for bit, as
-rebuilding everything per step (``tests/oracles.py::reference_smo``).
+steps instead of being rebuilt.
+
+The solver also shrinks (Joachims 1999; LIBSVM): the pair search and the
+gemv that updates the cached margins f run on an active set of rows, held
+as a contiguous copy of their rows of x. Every min(n, 1000) steps the set is
+re-derived from every row. With m = max(y - f) over I_up and M = min(y - f)
+over I_low, a row that is only in I_up with y - f < M, or only in I_low with
+y - f > m, cannot be picked as things stand and is left out; every other
+row, shrunk before or not, is active. The margins of shrunk rows are
+rebuilt as x @ w before that check and before each epoch's bias and
+objective. For a linear kernel w = sum_i alpha_i y_i x_i, so f_i = w . x_i
+exactly: one gemv, where a kernel SVM must sum over every support vector.
+When the active set's gap closes, every row is reactivated and the full gap
+tested again, so the solve stops only where the unshrunk solver could.
+Likewise an epoch that ran on part of the rows never ends the solve as
+stalled (best objective improved by less than the tolerance): the next
+epoch runs on every row, and only such an epoch can stall the solve.
+
+An epoch is still n steps. Active rows keep their accumulated margins, so a
+solve that never shrinks a row follows rebuilding everything per step
+(``tests/oracles.py::reference_smo``) bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +46,7 @@ from .errors import ConfigError, DataError
 
 _BOX_EPS = 1e-12
 _KKT_EPS = 1e-9
+_SHRINK_EVERY = 1000  # SMO steps between active-set checks, as in LIBSVM
 
 
 @dataclass(frozen=True)
@@ -53,6 +71,8 @@ class SVMModel:
     biases: np.ndarray  # (k,)
     class_names: list[str]
     objective_histories: list[list[float]]  # per class, best-so-far primal per epoch
+    # per solved class: epochs, steps, min_active, stop; not part of to_text()
+    solves: dict[str, dict] = field(default_factory=dict)
 
     @property
     def p(self) -> int:
@@ -89,13 +109,16 @@ def _estimate_bias(y_pm, f, alpha, c) -> float:
 
 
 def _solve_binary(x: np.ndarray, y_pm: np.ndarray, cfg: SVMConfig):
-    """Maximal-violating-pair SMO on the dual of the hinge-loss problem.
+    """Maximal-violating-pair SMO on the dual of the hinge-loss problem, with shrinking.
 
     The pair is the argmax of ``y - f`` over I_up and its argmin over I_low:
     as y = +-1, ``y - f`` equals -y times the dual gradient up to the sign of
     a zero, which neither the arg-reductions nor the gap test can see. Rows
     outside a set hold -inf (I_up) or +inf (I_low) in place of y, so an empty
     set gives an infinite negative gap and ends the solve like a closed one.
+
+    Returns (best_w, best_b, history, report); ``report`` holds the epochs,
+    the SMO steps, the smallest active-set size and the stop reason.
     """
     n, p = x.shape
     c = cfg.c
@@ -103,61 +126,119 @@ def _solve_binary(x: np.ndarray, y_pm: np.ndarray, cfg: SVMConfig):
     y = y_pm.tolist()
     alpha = np.zeros(n)
     w = np.zeros(p)
-    f = np.zeros(n)  # cached w . x_i
+    f = np.zeros(n)  # cached w . x_i; current for active rows, rebuilt from w for shrunk ones
     self_dot = np.einsum("ij,ij->i", x, x)
     # Every alpha starts at 0: I_up holds the positive rows and I_low the
     # negative ones (both are empty if c <= _BOX_EPS).
     y_up = np.where((y_pm > 0) & (0.0 < below_c), y_pm, -np.inf)
     y_low = np.where((y_pm < 0) & (0.0 < below_c), y_pm, np.inf)
+
+    # The active set: ``rows`` lists its rows (None while it holds them all)
+    # and xa, fa, ya_up, ya_low are contiguous copies of its rows of x, f, y_up, y_low.
+    # With every row active they are the full arrays themselves.
+    rows = None
+    xa, fa, ya_up, ya_low = x, f, y_up, y_low
     scores = np.empty(n)
+    check_every = min(n, _SHRINK_EVERY)
+    until_check = check_every
+
+    def sync():
+        """Write the active slices back and rebuild the shrunk rows' margins from w."""
+        if rows is not None:
+            np.matmul(x, w, out=f)
+            f[rows], y_up[rows], y_low[rows] = fa, ya_up, ya_low
+
+    def activate(keep):
+        nonlocal rows, xa, fa, ya_up, ya_low, scores
+        if keep.all():
+            rows, xa, fa, ya_up, ya_low = None, x, f, y_up, y_low
+        else:
+            rows = np.flatnonzero(keep)
+            xa, fa, ya_up, ya_low = x[rows], f[rows], y_up[rows], y_low[rows]
+        scores = np.empty(len(fa))
 
     best_obj = _primal_objective(x, y_pm, w, 0.0, c)
     best_w, best_b = w.copy(), 0.0
     history: list[float] = []
-    converged = False
+    steps, min_active, stop = 0, n, "epoch_budget"
 
     for _ in range(cfg.max_epochs):
-        for _ in range(n):
-            i = int(np.subtract(y_up, f, out=scores).argmax())
+        taken = 0
+        shrunk = rows is not None  # did any step of this epoch run on part of the rows?
+        while taken < n:
+            if until_check == 0:
+                # Re-derive the active set from every row: drop a row that is
+                # in one set only and on the wrong side of the other set's extreme.
+                # Only while the full gap is open, so the extremes' rows stay.
+                until_check = check_every
+                sync()
+                up_score, low_score = y_up - f, y_low - f
+                top, bottom = up_score.max(), low_score.min()
+                drop = (((y_low == np.inf) & (up_score < bottom))
+                        | ((y_up == -np.inf) & (low_score > top)))
+                activate(~drop if top - bottom > _KKT_EPS else np.ones(n, dtype=bool))
+                min_active = min(min_active, len(fa))
+                shrunk = shrunk or rows is not None
+
+            i = int(np.subtract(ya_up, fa, out=scores).argmax())
             top = scores[i]
-            j = int(np.subtract(y_low, f, out=scores).argmin())
+            j = int(np.subtract(ya_low, fa, out=scores).argmin())
             gap = top - scores[j]
+            gi, gj = (i, j) if rows is None else (rows[i], rows[j])
             if gap <= _KKT_EPS:
-                converged = True
-                break
-
-            quad = max(self_dot[i] + self_dot[j] - 2.0 * float(x[i] @ x[j]), 1e-12)
-            delta = gap / quad
-            # Feasible step range along (nu_i += delta, nu_j -= delta).
-            delta_max_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
-            delta_max_j = alpha[j] if y[j] > 0 else (c - alpha[j])
-            delta = min(delta, delta_max_i, delta_max_j)
+                delta = 0.0
+            else:
+                quad = max(self_dot[gi] + self_dot[gj] - 2.0 * float(xa[i] @ xa[j]), 1e-12)
+                delta = gap / quad
+                # Feasible step range along (nu_i += delta, nu_j -= delta).
+                delta_max_i = (c - alpha[gi]) if y[gi] > 0 else alpha[gi]
+                delta_max_j = alpha[gj] if y[gj] > 0 else (c - alpha[gj])
+                delta = min(delta, delta_max_i, delta_max_j)
             if delta <= 0.0:
-                converged = True
-                break
+                if rows is None:
+                    stop = "gap" if gap <= _KKT_EPS else "no_step"
+                    break
+                # The active set looks solved: bring every row back and test again.
+                sync()
+                activate(np.ones(n, dtype=bool))
+                continue
 
-            alpha[i] += y[i] * delta
-            alpha[j] -= y[j] * delta
-            step = delta * (x[i] - x[j])
+            alpha[gi] += y[gi] * delta
+            alpha[gj] -= y[gj] * delta
+            step = delta * (xa[i] - xa[j])
             w += step
-            f += x @ step
+            fa += xa @ step
+            taken += 1
+            until_check -= 1
 
             # Only rows i and j moved, so only they can enter or leave a set.
-            for k in (i, j):
-                y_k, below, above = y[k], alpha[k] < below_c, alpha[k] > _BOX_EPS
-                y_up[k] = y_k if (below if y_k > 0 else above) else -np.inf
-                y_low[k] = y_k if (above if y_k > 0 else below) else np.inf
+            for k, g in ((i, gi), (j, gj)):
+                y_k, below, above = y[g], alpha[g] < below_c, alpha[g] > _BOX_EPS
+                ya_up[k] = y_k if (below if y_k > 0 else above) else -np.inf
+                ya_low[k] = y_k if (above if y_k > 0 else below) else np.inf
 
+        steps += taken
+        sync()
         b = _estimate_bias(y_pm, f, alpha, c)
         obj = _primal_objective(x, y_pm, w, b, c)
         if obj < best_obj:
             best_obj, best_w, best_b = obj, w.copy(), b
         improvement = history[-1] - best_obj if history else np.inf
         history.append(best_obj)
-        if converged or improvement < cfg.tolerance:
+        if taken < n:
+            break
+        if improvement < cfg.tolerance:
+            if shrunk:
+                # Progress on part of the rows says little about the whole
+                # problem: run the next epoch on every row before stalling.
+                activate(np.ones(n, dtype=bool))
+                until_check = n
+                continue
+            stop = "stalled"
             break
 
-    return best_w, best_b, history
+    report = {"epochs": len(history), "steps": steps, "min_active": min_active, "stop": stop}
+    return best_w, best_b, history, report
 
 
 def train_svm(d: Dataset, cfg: SVMConfig) -> SVMModel:
@@ -178,6 +259,7 @@ def train_svm(d: Dataset, cfg: SVMConfig) -> SVMModel:
     weights = np.zeros((k, p))
     biases = np.zeros(k)
     histories: list[list[float]] = []
+    solves: dict[str, dict] = {}
     present_set = set(int(v) for v in present)
     for cls in range(k):
         if cls not in present_set:
@@ -185,12 +267,12 @@ def train_svm(d: Dataset, cfg: SVMConfig) -> SVMModel:
             histories.append([])
             continue
         y_pm = np.where(d.labels == cls, 1.0, -1.0)
-        w, b, history = _solve_binary(x, y_pm, cfg)
+        w, b, history, solves[d.class_names[cls]] = _solve_binary(x, y_pm, cfg)
         weights[cls] = w
         biases[cls] = b
         histories.append(history)
     return SVMModel(weights=weights, biases=biases, class_names=list(d.class_names),
-                    objective_histories=histories)
+                    objective_histories=histories, solves=solves)
 
 
 def decision_function(model: SVMModel, row: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,14 @@ def test_transform_errors():
         transform(model, np.zeros((2, 5)), 2)
     with pytest.raises(DataError):
         fit_pca(np.zeros((1, 3)))
+
+
+def test_fit_holds_one_standardized_copy_of_its_input():
+    m = np.random.default_rng(21).standard_normal((20000, 50))
+    tracemalloc.start()
+    try:
+        fit_pca(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * m.nbytes, f"peak {peak / m.nbytes:.2f} x the input"

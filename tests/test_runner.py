@@ -127,8 +127,26 @@ def test_emit_reports_files_and_formats(tmp_path):
     report = json.load(open(os.path.join(out, "report.json")))
     for key in ("config", "selected_features", "selector_report", "confusion_matrix",
                 "per_class_metrics", "accuracy", "macro_precision", "macro_recall",
-                "macro_f1", "timings", "seed", "versions"):
+                "macro_f1", "timings", "seed", "versions", "classifier_report"):
         assert key in report, key
+
+
+def test_svm_report_reads_back_each_solve(tmp_path):
+    cfg = _cfg(synth=SynthConfig(1500, 3, 5, 3, 1.5, seed=8), classifier="svm")
+    rec = run_experiment(cfg)
+    emit_reports(rec, str(tmp_path))
+    with open(tmp_path / "report.json") as handle:
+        report = json.load(handle)["classifier_report"]
+
+    assert report == rec.classifier_report
+    assert sorted(report) == ["c0", "c1", "c2"]
+    n_train = rec.dataset_summary["n_train"]
+    for solve in report.values():
+        assert 1 <= solve["epochs"] <= cfg.svm.max_epochs
+        assert 0 < solve["steps"] <= solve["epochs"] * n_train
+        assert 0 < solve["min_active"] <= n_train
+        assert solve["stop"] in ("gap", "no_step", "stalled", "epoch_budget")
+    assert any(s["min_active"] < n_train for s in report.values())
 
 
 def test_perfect_run_confusion_is_diagonal(tmp_path):
@@ -302,7 +320,7 @@ def test_pca_run_holds_each_feature_matrix_only_until_its_last_use(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The two splits, the PCA fit's standardized copy of the train split and
-    # np.cov's centred copy of that come to about 2.6 encoded matrices.
+    # The peak, about 2.6 encoded matrices, comes while pca.transform
+    # projects the train split; fit_pca itself holds one standardized copy.
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
     assert peak < 3.5 * matrix, f"peak {peak / matrix:.2f} encoded matrices"

@@ -175,13 +175,15 @@ def _absent_class_dataset():
     return _dataset(x, (x[:, 1] - x[:, 2] > 0).astype(int), k=3)
 
 
-# sha256 of train_svm(...).to_text(), recorded with the solver that rebuilt
-# the gradient and both index sets from scratch on every step.
+# sha256 of train_svm(...).to_text(). Only three_class_n2000 shrinks rows
+# that would have been picked again, so only its digest moved with shrinking;
+# the other three were recorded with the solver that rebuilt the gradient and
+# both index sets from scratch on every step.
 PINNED_SVM_DIGESTS = {
     "three_class_n2000": (
         lambda: gen_classification(SynthConfig(2000, 3, 5, 3, 1.5, seed=31))[0],
         SVMConfig(max_epochs=4),
-        "5780559182153e503421ea759601cc233a0b0b9a3ac37794bf6d028b05f132b1"),
+        "2230d532bb4a12df327c059db42db3cd7c85cde4313847cf54569fd5c67a39be"),
     "c_1e-3_alphas_at_bound": (
         lambda: gen_classification(SynthConfig(400, 2, 3, 2, 1.0, seed=32))[0],
         SVMConfig(c=1e-3),
@@ -229,13 +231,68 @@ def _smo_instances():
     yield x, np.where(x[:, 0] > 0, 1.0, -1.0), SVMConfig(c=1e-13)
 
 
-def test_solver_matches_reference_smo_bit_for_bit():
-    for x, y_pm, cfg in _smo_instances():
-        w, b, history = _solve_binary(x, y_pm, cfg)
-        ref_w, ref_b, ref_history = reference_smo(x, y_pm, cfg)
+@pytest.fixture(scope="module")
+def solves_against_reference():
+    """(n, ours, reference) per instance; ours = (w, b, history, report)."""
+    return [(len(x), _solve_binary(x, y_pm, cfg), reference_smo(x, y_pm, cfg))
+            for x, y_pm, cfg in _smo_instances()]
+
+
+def test_solver_matches_reference_smo_bit_for_bit(solves_against_reference):
+    """A solve that never shrinks a row follows reference_smo bit for bit.
+    403 of the 603 instances never shrink one."""
+    unshrunk = 0
+    for n, (w, b, history, report), (ref_w, ref_b, ref_history) in solves_against_reference:
+        if report["min_active"] < n:
+            continue
+        unshrunk += 1
         assert w.tobytes() == ref_w.tobytes()
         assert repr(b) == repr(ref_b)
         assert [repr(v) for v in history] == [repr(v) for v in ref_history]
+    assert unshrunk >= 300
+
+
+# Shrunk instances of _smo_instances() that end more than 1e-3 above
+# reference_smo's objective, with the relative gap each one ends at.
+SHRUNK_ABOVE_REFERENCE = {
+    # n=42, max_epochs=2: one row is shrunk for epoch 2, and the budget ends
+    # on another trajectory before either solve is near the optimum.
+    137: 0.0610,
+}
+
+
+def test_shrunk_solves_end_no_worse_than_reference_smo(solves_against_reference):
+    """The other 200 instances shrink rows, which changes the trajectory, so
+    the final best objective is compared with reference_smo's at the same
+    budget. 163 agree within 1e-9 relative and 19 end more than 1e-3 below:
+    the reference stops when one epoch's primal objective, which is not
+    monotone, improves by less than the tolerance, where a shrunk solve first
+    runs one more epoch on every row. Only the instances listed in
+    SHRUNK_ABOVE_REFERENCE end more than 1e-3 above it."""
+    rel = {}
+    for k, (n, (_, _, history, report), (_, _, ref_history)) in enumerate(
+            solves_against_reference):
+        if report["min_active"] < n:
+            rel[k] = (history[-1] - ref_history[-1]) / abs(ref_history[-1])
+    assert len(rel) >= 100
+    above = {k: r for k, r in rel.items() if r > 1e-3}
+    assert sorted(above) == sorted(SHRUNK_ABOVE_REFERENCE)
+    for k, r in above.items():
+        assert r == pytest.approx(SHRUNK_ABOVE_REFERENCE[k], abs=1e-4), k
+
+
+def test_shrunk_rows_come_back_before_convergence():
+    """Solved to the gap test with most rows shrunk, the objective matches
+    reference_smo's: the final check sees every row, so no violator is left out."""
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((3000, 7))
+    y_pm = np.where(x[:, 0] + 0.5 * x[:, 1] + 1.25 * rng.standard_normal(3000) > 0, 1.0, -1.0)
+    cfg = SVMConfig(c=0.04, max_epochs=200, tolerance=1e-12)
+    _, _, history, report = _solve_binary(x, y_pm, cfg)
+    _, _, ref_history = reference_smo(x, y_pm, cfg)
+    assert report["stop"] == "gap"
+    assert report["min_active"] < 100
+    assert abs(history[-1] - ref_history[-1]) <= 1e-9 * abs(ref_history[-1])
 
 
 @pytest.mark.parametrize("settings", [{"c": float("nan")}, {"c": float("inf")},

@@ -1,0 +1,99 @@
+"""Paired benchmark runs of a base commit and the working tree.
+
+    python3 tools/bench_pairs.py --base HEAD --label svm --workloads svm_ovr --seeds 301 302 303
+
+For each workload and seed, ``perfbench/run.py`` runs once on an export of
+the base commit (``git archive``, in a temporary directory) and once on the
+working tree, alternating which side runs first. ``BENCH_<label>.json`` at
+the repository root gets every run's metrics and digests, and per metric
+each side's median and quartiles and the number of pairs the working tree
+won, plus the machine: CPU count, Python and numpy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its last stdout line (the JSON result) plus the printed digests."""
+    proc = subprocess.run([sys.executable, os.path.join(checkout, "perfbench", "run.py"),
+                           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+                          cwd=checkout, capture_output=True, text=True, timeout=600)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
+    result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    result["digests"] = dict(line[9:].rsplit(None, 1) for line in lines if line.startswith("  digest "))
+    return result
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = (float(v) for v in np.percentile(values, [25, 50, 75]))
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for name, direction in better.items():
+        both = [(p["base"]["metrics"][name], p["head"]["metrics"][name]) for p in pairs
+                if name in p["base"]["metrics"] and name in p["head"]["metrics"]]
+        if not both:
+            continue
+        wins = sum((h < b) if direction == "lower" else (h > b) for b, h in both)
+        out[name] = {"base": _spread([b for b, _ in both]), "head": _spread([h for _, h in both]),
+                     "head_wins": wins, "pairs": len(both)}
+    return out
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", nargs="+", type=int, required=True)
+    args = parser.parse_args(argv)
+    git = lambda *a: subprocess.run(["git", "-C", ROOT, *a], check=True, capture_output=True).stdout
+    base_sha = git("rev-parse", args.base).decode().strip()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        benchmark = json.load(handle)
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    report = {"label": args.label, "base": base_sha, "head": "working tree on "
+              + git("rev-parse", "HEAD").decode().strip(), "seconds": benchmark["run_seconds"],
+              "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+                          "numpy": np.__version__}, "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as checkout:
+        with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", base_sha))) as tar:
+            tar.extractall(checkout, filter="data")
+        for workload in args.workloads:
+            pairs = []
+            for k, seed in enumerate(args.seeds):
+                order = ["base", "head"] if k % 2 == 0 else ["head", "base"]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = _run(checkout if side == "base" else ROOT, workload, seed,
+                                      report["seconds"])
+                    print(f"{workload} seed={seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
+                pairs.append(pair)
+            report["workloads"][workload] = {"summary": _summary(pairs, better), "pairs": pairs}
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
