@@ -5,15 +5,16 @@ threshold among ``mtry`` randomly sampled features, and ties in impurity
 decrease resolve to the lowest feature index then the lowest threshold so a
 (dataset, config) pair always yields the identical model.
 
-Lockstep growth. Tree ``i`` owns the stream ``default_rng(seed ^ i)`` and
-its own preorder stack. It draws its bootstrap first, then one candidate
-set per splittable node in preorder; leaves draw nothing. Trees grow in
-groups of ``_GROUP``, and a group advances in steps: every unfinished tree
-emits the leaves it pops until it reaches a node it may split, draws that
-node's candidates from its own stream, and hands the node over; one
-batched search then splits every handed-over node. A tree's draws depend
-only on its own earlier nodes, never on how the trees interleave, so the
-model is the one that growing the trees one after another would give.
+Level-wise growth. Tree ``i`` owns the stream ``default_rng(seed ^ i)``.
+It draws its bootstrap first, then at each depth one candidate set per
+splittable node of that depth, in breadth-first order, in a single draw;
+leaves draw nothing. Trees grow in groups of ``_GROUP``, and a group grows
+one depth at a time: its frontier holds every node of that depth of every
+tree, sorted by tree, and one batched search splits all of them. A tree's
+draws depend only on its own earlier depths, never on the other trees of
+its group, so the model is the one that growing the trees one after
+another would give. Each tree stores its nodes breadth-first, so the two
+children of a split are adjacent (``right == left + 1``).
 
 The batched search never sorts floats. A node holds its distinct bootstrap
 rows with integer weights, and each column's values are replaced once per
@@ -39,7 +40,7 @@ from .dataset import Dataset
 from .errors import ConfigError, DataError
 
 _MIN_GAIN = 1e-12
-_GROUP = 25  # trees grown in lockstep
+_GROUP = 25  # trees grown together, one depth at a time
 _CHUNK = 1 << 13  # rows per batched split-search sort
 
 
@@ -68,7 +69,7 @@ class ForestConfig:
 
 @dataclass
 class DecisionTree:
-    """Flat preorder node arrays: feature == -1 marks a leaf."""
+    """Flat breadth-first node arrays: feature == -1 marks a leaf, right == left + 1."""
 
     feature: np.ndarray  # (nodes,) int, -1 for leaves
     threshold: np.ndarray  # (nodes,) float, nan for leaves
@@ -83,19 +84,15 @@ class DecisionTree:
         return len(self.feature)
 
     def predict(self, m: np.ndarray) -> np.ndarray:
-        out = np.empty(m.shape[0], dtype=np.int64)
-        stack = [(0, np.arange(m.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            if self.feature[node] < 0:
-                out[idx] = int(np.argmax(self.counts[node]))
-                continue
-            mask = m[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[mask]))
-            stack.append((self.right[node], idx[~mask]))
-        return out
+        """Move every row one level per gather until all rows sit at leaves."""
+        node, rows = np.zeros(m.shape[0], dtype=np.int64), np.arange(m.shape[0])
+        while len(rows):
+            at = node[rows]
+            inner = self.feature[at] >= 0
+            rows, at = rows[inner], at[inner]
+            go_left = m[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return np.argmax(self.counts[node], axis=1)
 
 
 @dataclass
@@ -108,7 +105,7 @@ class ForestModel:
     config: ForestConfig
 
     def to_text(self) -> str:
-        """Canonical preorder node-list dump, stable across identical trainings."""
+        """Canonical breadth-first node-list dump, stable across identical trainings."""
         lines = [f"forest trees={len(self.trees)} features={self.n_features} "
                  f"classes={len(self.class_names)} seed={self.config.seed}"]
         for t, tree in enumerate(self.trees):
@@ -124,6 +121,18 @@ class ForestModel:
                         f"left={int(tree.left[i])} right={int(tree.right[i])} counts={counts}")
         return "\n".join(lines)
 
+    def shape(self) -> dict:
+        """Tree, node and leaf counts and the depth of the deepest leaf (the root is depth 0)."""
+        max_depth = 0
+        for tree in self.trees:
+            a, b, depth = 0, 1, 0  # nodes [a, b) are one depth: the children of the one above
+            while (kids := tree.left[a:b][tree.feature[a:b] >= 0]).size:
+                a, b, depth = kids[0], kids[-1] + 2, depth + 1
+            max_depth = max(max_depth, depth)
+        return {"trees": len(self.trees), "nodes": sum(t.n_nodes for t in self.trees),
+                "leaves": sum(int((t.feature < 0).sum()) for t in self.trees),
+                "max_depth": max_depth}
+
 
 class _Ranks:
     """Dense per-column ranks of a training matrix, computed once per forest.
@@ -134,8 +143,7 @@ class _Ranks:
 
     def __init__(self, x: np.ndarray):
         n, p = x.shape
-        self.x = x
-        self.n = n
+        self.x, self.n = x, n
         self.rank = np.empty(p * n, dtype=np.int32)  # rank of row r in column j at j * n + r
         top = 0
         for j in range(p):
@@ -160,53 +168,6 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray):
     owner = np.repeat(np.arange(len(sizes)), sizes)
     positions = np.arange(owner.size) + (starts - (np.cumsum(sizes) - sizes))[owner]
     return owner, positions
-
-
-class _Tree:
-    """A growing tree: its random stream, preorder stack and compact node records."""
-
-    __slots__ = ("rng", "bootstrap", "stack", "feature", "threshold", "left", "right",
-                 "counts", "importance")
-
-    def __init__(self, rng: np.random.Generator, bootstrap: np.ndarray, root: tuple, p: int):
-        self.rng = rng
-        self.bootstrap = bootstrap
-        # Entries: (pool start, distinct rows, depth, parent, is_left, class counts, splittable).
-        self.stack = [root]
-        self.feature = array("q")
-        self.threshold = array("d")
-        self.left = array("q")
-        self.right = array("q")
-        self.counts = array("d")
-        self.importance = [0.0] * p
-
-    def next_splittable(self):
-        """Emit popped nodes as leaves until one may split; return it, or None when done."""
-        while self.stack:
-            start, size, depth, parent, is_left, counts, splittable = self.stack.pop()
-            node = len(self.feature)
-            if parent >= 0:
-                (self.left if is_left else self.right)[parent] = node
-            self.feature.append(-1)
-            self.threshold.append(math.nan)
-            self.left.append(-1)
-            self.right.append(-1)
-            self.counts.extend(counts)
-            if splittable:
-                return node, start, size, depth, counts
-        return None
-
-    def finish(self, k: int) -> DecisionTree:
-        # Zero-copy views: the records become the model's arrays.
-        return DecisionTree(
-            feature=np.frombuffer(self.feature, dtype=np.int64),
-            threshold=np.frombuffer(self.threshold, dtype=np.float64),
-            left=np.frombuffer(self.left, dtype=np.int64),
-            right=np.frombuffer(self.right, dtype=np.int64),
-            counts=np.frombuffer(self.counts, dtype=np.float64).reshape(-1, k),
-            importance=np.array(self.importance),
-            bootstrap_indices=self.bootstrap,
-        )
 
 
 class _Pool:
@@ -353,61 +314,66 @@ def _partition(ranks: _Ranks, pool: _Pool, start: np.ndarray, size: np.ndarray,
 
 def _grow_group(ranks: _Ranks, y: np.ndarray, k: int, mtry: int, cfg: ForestConfig,
                 tree_ids: range) -> list[DecisionTree]:
-    """Grow the given trees in lockstep, one batched split search per step."""
+    """Grow the given trees one depth at a time, one batched split search per depth."""
     n, p = ranks.x.shape
-    trees, rows, weights = [], [], []
-    offset = 0
+    g = len(tree_ids)
+    rngs, bootstraps, rows, weights, counts = [], [], [], [], []
     for i in tree_ids:
-        rng = np.random.default_rng(cfg.seed ^ i)
-        bootstrap = rng.integers(0, n, size=n)
-        weight = np.bincount(bootstrap, minlength=n)
-        distinct = np.flatnonzero(weight)
-        counts = np.bincount(y, weights=weight, minlength=k).astype(np.int64).tolist()
-        trees.append(_Tree(rng, bootstrap, (offset, len(distinct), 0, -1, False, counts,
-                                            max(counts) < n), p))
-        rows.append(distinct)
-        weights.append(weight[distinct])
-        offset += len(distinct)
+        rngs.append(np.random.default_rng(cfg.seed ^ i))
+        bootstraps.append(rngs[-1].integers(0, n, size=n))
+        weight = np.bincount(bootstraps[-1], minlength=n)
+        rows.append(np.flatnonzero(weight))
+        weights.append(weight[rows[-1]])
+        counts.append(np.bincount(y[bootstraps[-1]], minlength=k))
     pool = _Pool(np.concatenate(rows), np.concatenate(weights), y, k, ranks)
+    # The frontier: every node of one depth, sorted by tree, breadth-first within each tree.
+    counts = np.array(counts, dtype=np.int64)
+    size = np.array([len(r) for r in rows], dtype=np.int64)
+    start, owner, splittable = np.cumsum(size) - size, np.arange(g), counts.max(axis=1) < n
     del rows, weights
+    # Per tree: feature, threshold, left, right and class counts of every node so far.
+    records = [(array("q"), array("d"), array("q"), array("q"), array("d")) for _ in range(g)]
+    n_nodes, importance = np.zeros(g, dtype=np.int64), np.zeros((g, p))
+    depth = 0
+    while len(owner):
+        depth += 1
+        at = np.flatnonzero(splittable)
+        cand = np.concatenate([rng.random((c, p)).argsort(axis=1)[:, :mtry] for rng, c
+                               in zip(rngs, np.bincount(owner[at], minlength=g).tolist())])
+        gain, column, low, c_left = _search(ranks, pool, start[at], size[at],
+                                            np.sort(cand, axis=1), counts[at])
+        won = gain > _MIN_GAIN
+        split, column, gain, c_left = at[won], column[won], gain[won], c_left[won]
+        left_size, threshold = _partition(ranks, pool, start[split], size[split], column, low[won])
+        by = owner[split]
+        np.add.at(importance, (by, column), counts[split].sum(axis=1) / n * gain)
 
-    while True:
-        batch, draws = [], []
-        for tree in trees:
-            found = tree.next_splittable()
-            if found is not None:
-                batch.append((tree,) + found)
-                draws.append(tree.rng.choice(p, size=mtry, replace=False))
-        if not batch:
-            return [tree.finish(k) for tree in trees]
-        _, _, start, size, _, counts = zip(*batch)
-        start = np.array(start, dtype=np.int64)
-        size = np.array(size, dtype=np.int64)
-        counts = np.array(counts, dtype=np.int64)
-        gain, column, low, c_left = _search(ranks, pool, start, size,
-                                            np.sort(np.array(draws), axis=1), counts)
+        # This depth's records. A tree's next depth starts after them and holds
+        # the children of its splits, left then right, in the order of their parents.
+        bounds = np.searchsorted(owner, np.arange(g + 1))
+        n_nodes += np.diff(bounds)
+        feature, left = np.full((2, len(owner)), -1, dtype=np.int64)
+        thresholds = np.full(len(owner), np.nan)
+        feature[split], thresholds[split] = column, threshold
+        left[split] = n_nodes[by] + 2 * (np.arange(len(split)) - np.searchsorted(by, by))
+        fields = (feature, thresholds, left, np.where(feature >= 0, left + 1, -1),
+                  counts.astype(np.float64))
+        for record, a, b in zip(records, bounds.tolist(), bounds[1:].tolist()):
+            for buffer, values in zip(record, fields):
+                buffer.frombytes(values[a:b].tobytes())
 
-        split = np.flatnonzero(gain > _MIN_GAIN)
-        left_size, threshold = _partition(ranks, pool, start[split], size[split], column[split],
-                                          low[split])
-        c_left = c_left[split]
-        c_right = counts[split] - c_left
-        n_left = c_left.sum(axis=1)
-        n_right = c_right.sum(axis=1)
-        ok_left = (c_left.max(axis=1) < n_left) & (n_left >= cfg.min_samples_split)
-        ok_right = (c_right.max(axis=1) < n_right) & (n_right >= cfg.min_samples_split)
-        for j, f, thr, g, ls, cl, cr, sl, sr in zip(
-                split.tolist(), column[split].tolist(), threshold.tolist(), gain[split].tolist(),
-                left_size.tolist(), c_left.tolist(), c_right.tolist(), ok_left.tolist(),
-                ok_right.tolist()):
-            tree, node, st, sz, depth, node_counts = batch[j]
-            tree.feature[node] = f
-            tree.threshold[node] = thr
-            tree.importance[f] += (sum(node_counts) / n) * g
-            depth += 1
-            deeper = cfg.max_depth is None or depth < cfg.max_depth
-            tree.stack.append((st + ls, sz - ls, depth, node, False, cr, sr and deeper))
-            tree.stack.append((st, ls, depth, node, True, cl, sl and deeper))
+        counts = np.stack([c_left, counts[split] - c_left], axis=1).reshape(-1, k)
+        start = np.column_stack([start[split], start[split] + left_size]).ravel()
+        size = np.column_stack([left_size, size[split] - left_size]).ravel()
+        owner = np.repeat(by, 2)
+        n_child = counts.sum(axis=1)
+        splittable = (counts.max(axis=1) < n_child) & (n_child >= cfg.min_samples_split)
+        splittable &= cfg.max_depth is None or depth < cfg.max_depth
+
+    # Zero-copy views: the records become the model's arrays.
+    views = [[np.frombuffer(r, dtype=r.typecode) for r in record] for record in records]
+    return [DecisionTree(*v[:4], v[4].reshape(-1, k), imp, bootstrap)
+            for v, imp, bootstrap in zip(views, importance, bootstraps)]
 
 
 def train_forest_xy(x: np.ndarray, y: np.ndarray, n_classes: int, cfg: ForestConfig,
@@ -476,5 +442,4 @@ def per_tree_importances(model: ForestModel, normalize: bool = True) -> np.ndarr
     if not normalize:
         return raw
     sums = raw.sum(axis=1, keepdims=True)
-    safe = np.where(sums > 0.0, sums, 1.0)
-    return raw / safe
+    return raw / np.where(sums > 0.0, sums, 1.0)

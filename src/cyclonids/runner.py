@@ -263,7 +263,7 @@ def _run_split(cfg: ExperimentConfig, summary: dict, halves: list[Dataset],
         model = forest_mod.train_forest_xy(train.features, train.labels, len(class_names),
                                            cfg.forest, class_names=class_names)
         predict = lambda m: forest_mod.predict(model, m)
-        classifier_report = {}
+        classifier_report = model.shape()
     else:
         model = svm_mod.train_svm(train, cfg.svm)
         predict = lambda m: svm_mod.predict(model, m)

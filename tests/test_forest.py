@@ -186,28 +186,28 @@ def _matrix(n, informative, noise, k, separation, seed, rounded=False):
 
 
 # sha256 of ForestModel.to_text() and of the raw per-tree importances (native
-# float64 bytes), recorded from the tree-at-a-time grower that sorted each
-# candidate column per node. The importances pin every chosen gain to the
-# last bit. Rounding to one decimal makes long ties and mixes -0.0 with 0.0
-# in the same column.
+# float64 bytes), recorded from the level-wise grower: each tree draws its
+# candidates one depth at a time and stores its nodes breadth-first. The
+# importances pin every chosen gain to the last bit. Rounding to one decimal
+# makes long ties and mixes -0.0 with 0.0 in the same column.
 PINNED_FORESTS = {
     "full_depth_k2": (
         _matrix(300, 3, 5, 2, 1.0, 31), ForestConfig(n_trees=8, seed=31),
-        "33423b74462cb3be5138f6d5b8ff82006b6a8ae769bdac68d76990933acaaf1c",
-        "4c552ba5126d4457d8c5a3a990324155eb7b15d1467ef32d924951841103dcdb"),
+        "e815f735aa03be56d0d9155b107594ecdb6639da8959a53034bca44596a9e9b7",
+        "c268921cf049b327b2d374567fdb14575939a2e86f5334e3faa47575f13042f2"),
     "boruta_forest_k3": (
         _matrix(400, 3, 5, 3, 1.0, 32),
         ForestConfig(n_trees=12, max_depth=4, min_samples_split=25, seed=32),
-        "8eb3d9f203e7f127a191410a35d144d2bfb51d17f49a9a2fdf1904b9810a6806",
-        "e619904a5594fc12ede807fd88db9a57655ec41e5a29a9d28d801f8b4520c8c6"),
+        "53ba0a274e2ede64ba4c32334cf6d11ac57d9773971d6f0fd1ca8b6b82611055",
+        "29f686465d6d1b5f93f96f0907a4b622a044d9093c272bd3bd38e0f42c600a10"),
     "mtry_p_k3": (
         _matrix(200, 2, 3, 3, 1.0, 33), ForestConfig(n_trees=6, mtry=5, seed=33),
-        "6d8d63ed7a65cafba46fa55c1e21e8fe1b1cbbc946e5132a2846e093b0a078f7",
-        "26e0b9b7fc8d67bb0e18692d7e818c680dc92d390b717daccf1233a753d49bdf"),
+        "3923decdb2674622bf6725ac6edca501fbb884ed867849c8b882e06a52057545",
+        "b904e08ec7c919d032c52f300b910de6c35bf19a005d953bbc6ba293c2c3ac04"),
     "rounded_ties_k3": (
         _matrix(300, 2, 4, 3, 1.5, 34, rounded=True), ForestConfig(n_trees=8, seed=34),
-        "4a0d76ab74b6463490ab1c2594dda035130eaa6c31485817427953fc4a095290",
-        "0eb2179182946f0da644e144a4e90992ccb13bda58f1d84656e61ec52143fe18"),
+        "c3590e3643b4b69a8e85aff66ab53ffcd9175463f4d345b8e03053cb17c4bd3b",
+        "9e9b2b7895c438cc75978a0d751b2e467d9b55bf9a6f911d15a974c9d8ea9800"),
 }
 
 
@@ -223,7 +223,61 @@ def test_pinned_model_digest(name):
 def test_pinned_boruta_digest():
     d, _ = gen_classification(SynthConfig(300, 3, 7, 2, 2.0, seed=35))
     result = run_boruta(d, BorutaConfig(max_iterations=8, seed=35))
-    assert _sha(result.to_text()) == "7f0c6e23ac001bd2bee6e0cf194b18e3130477427d4898266683af5744e47ffc"
+    assert _sha(result.to_text()) == "ccf3eaa44507f63a37ff7bdb24bf854b0bdfc5c1d68bd02dc4abfff3456a1209"
+
+
+def test_children_of_a_split_are_adjacent_and_breadth_first():
+    x, y, k = _matrix(400, 3, 5, 3, 1.0, 36)
+    model = train_forest_xy(x, y, k, ForestConfig(n_trees=30, seed=36))
+    for tree in model.trees:
+        split = np.flatnonzero(tree.feature >= 0)
+        assert np.all(tree.left[split] > split)
+        assert np.array_equal(tree.right[split], tree.left[split] + 1)
+        # Breadth-first: the j-th split's children are nodes 2j + 1 and 2j + 2.
+        assert np.array_equal(tree.left[split], 1 + 2 * np.arange(len(split)))
+        assert np.all(tree.left[tree.feature < 0] == -1)
+
+
+def _walk(tree, row):
+    """The class a single row reaches by following the splits from the root."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return int(np.argmax(tree.counts[node]))
+
+
+def _on_thresholds(tree, row):
+    """A copy of ``row`` placed exactly on the threshold of each split on its path
+    whose column it has not met yet; ties go left."""
+    row, seen, node = row.copy(), set(), 0
+    while tree.feature[node] >= 0:
+        f = tree.feature[node]
+        if f not in seen:
+            seen.add(f)
+            row[f] = tree.threshold[node]
+        node = tree.left[node] if row[f] <= tree.threshold[node] else tree.right[node]
+    return row
+
+
+def test_tree_predict_equals_a_per_row_walk():
+    x, y, k = _matrix(300, 2, 4, 3, 1.0, 37)
+    model = train_forest_xy(x, y, k, ForestConfig(n_trees=5, seed=37))
+    for tree in model.trees:
+        tied = np.array([_on_thresholds(tree, row) for row in x[:40]])
+        assert np.all(tied[:, tree.feature[0]] == tree.threshold[0])
+        m = np.concatenate([x, tied])
+        assert np.array_equal(tree.predict(m), [_walk(tree, row) for row in m])
+
+
+def test_a_tree_does_not_depend_on_its_group():
+    x, y, k = _matrix(300, 3, 5, 3, 1.0, 38)
+    wide = train_forest_xy(x, y, k, ForestConfig(n_trees=30, seed=38))
+    narrow = train_forest_xy(x, y, k, ForestConfig(n_trees=27, seed=38))
+    for a, b in zip(wide.trees[:27], narrow.trees, strict=True):
+        for field in ("feature", "threshold", "left", "right", "counts", "importance",
+                      "bootstrap_indices"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
 def _check_node(tree, node, x, y, k, depth, cfg):

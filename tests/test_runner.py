@@ -149,6 +149,36 @@ def test_svm_report_reads_back_each_solve(tmp_path):
     assert any(s["min_active"] < n_train for s in report.values())
 
 
+def _depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+
+
+def test_forest_report_reads_back_its_shape(tmp_path, monkeypatch):
+    trained, original = [], forest_mod.train_forest_xy
+
+    def train(*args, **kwargs):
+        trained.append(original(*args, **kwargs))
+        return trained[-1]
+
+    monkeypatch.setattr(forest_mod, "train_forest_xy", train)
+    cfg = _cfg(synth=SynthConfig(600, 3, 5, 3, 1.5, seed=8),
+               forest=ForestConfig(n_trees=9, max_depth=6, seed=8))
+    rec = run_experiment(cfg)
+    emit_reports(rec, str(tmp_path))
+    with open(tmp_path / "report.json") as handle:
+        report = json.load(handle)["classifier_report"]
+
+    assert report == rec.classifier_report
+    (model,) = trained
+    assert report == {"trees": 9, "nodes": sum(t.n_nodes for t in model.trees),
+                      "leaves": sum(int((t.feature < 0).sum()) for t in model.trees),
+                      "max_depth": max(_depth(t) for t in model.trees)}
+    assert 1 <= report["max_depth"] <= 6
+    assert report["nodes"] == 2 * report["leaves"] - report["trees"]
+
+
 def test_perfect_run_confusion_is_diagonal(tmp_path):
     rec = run_experiment(_cfg(synth=SynthConfig(300, 2, 1, 2, 20.0, seed=5)))
     assert rec.evaluation.accuracy == 1.0

@@ -7,7 +7,10 @@ the base commit (``git archive``, in a temporary directory) and once on the
 working tree, alternating which side runs first. ``BENCH_<label>.json`` at
 the repository root gets every run's metrics and digests, and per metric
 each side's median and quartiles and the number of pairs the working tree
-won, plus the machine: CPU count, Python and numpy versions.
+won, plus the machine: CPU count, Python and numpy versions. Per workload it
+also counts the pairs whose component digests (every digest but the
+report's) are equal on both sides, and each side's failed and attempted
+runs.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
                            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=checkout, capture_output=True, text=True, timeout=600)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
+    # A run that printed nothing counts as one failed attempt.
+    result = json.loads(lines[-1]) if lines else {"correct": False, "attempted": 1, "failed": 1,
+                                                  "metrics": {}}
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
     result["digests"] = dict(line[9:].rsplit(None, 1) for line in lines if line.startswith("  digest "))
     return result
@@ -55,6 +60,13 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
         out[name] = {"base": _spread([b for b, _ in both]), "head": _spread([h for _, h in both]),
                      "head_wins": wins, "pairs": len(both)}
     return out
+
+
+def _same_models(pairs: list[dict]) -> int:
+    """Pairs whose component digests are present and equal on both sides."""
+    components = lambda run: {k: v for k, v in run["digests"].items() if not k.startswith("report")}
+    return sum(bool(components(p["base"])) and components(p["base"]) == components(p["head"])
+               for p in pairs)
 
 
 def main(argv: list[str]) -> int:
@@ -86,7 +98,11 @@ def main(argv: list[str]) -> int:
                                       report["seconds"])
                     print(f"{workload} seed={seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
                 pairs.append(pair)
-            report["workloads"][workload] = {"summary": _summary(pairs, better), "pairs": pairs}
+            runs = {side: {key: sum(p[side][key] for p in pairs) for key in ("attempted", "failed")}
+                    for side in ("base", "head")}
+            report["workloads"][workload] = {"summary": _summary(pairs, better), "runs": runs,
+                                             "component_digests_equal": _same_models(pairs),
+                                             "pairs": pairs}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1, sort_keys=True)
