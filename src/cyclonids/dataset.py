@@ -297,6 +297,25 @@ def _normalize_label(token: str) -> str:
     return token.strip().rstrip(".").lower()
 
 
+_MEMO_ROWS = 256  # kept rows read before load_csv decides whether to memoize float()
+_MEMO_CAP = 1 << 16  # distinct strings a _FloatMemo holds before it empties itself
+
+
+class _FloatMemo(dict):
+    """``float`` of each numeric string, parsed once, emptied when ``_MEMO_CAP`` are held.
+
+    KDD99 columns are mostly flags, small counts and two-decimal rates, so a
+    few thousand distinct strings cover millions of fields. A string that
+    ``float`` rejects raises its ValueError and is not stored.
+    """
+
+    def __missing__(self, token: str) -> float:
+        if len(self) >= _MEMO_CAP:
+            self.clear()
+        value = self[token] = float(token)
+        return value
+
+
 def _fields(positions: list[int]):
     """Function from a row to the sequence of its fields at ``positions``."""
     return itemgetter(*positions) if len(positions) > 1 else lambda row: [row[p] for p in positions]
@@ -339,11 +358,16 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                 # not a header: a data row, or one whose arity the loop reports
                 records = itertools.chain([(lineno, row)], records)
 
+            arity, label_at = schema.arity, schema.label_position
+            memo = _FloatMemo()
+            parse = memo.__getitem__
             for lineno, row in records:
-                if len(row) != schema.arity:
+                if len(labels) == _MEMO_ROWS and 2 * len(memo) >= len(numbers):
+                    parse = float  # mostly distinct strings (`gen` writes repr floats): memo only costs
+                if len(row) != arity:
                     raise DataError(
-                        f"arity mismatch at row {lineno}: expected {schema.arity} fields, got {len(row)}")
-                token = row[schema.label_position]
+                        f"arity mismatch at row {lineno}: expected {arity} fields, got {len(row)}")
+                token = row[label_at]
                 code = codes.get(token)
                 if code is None:
                     if infer:
@@ -357,13 +381,13 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                     codes[token] = code
 
                 try:
-                    values = list(map(float, numeric(row)))
+                    values = list(map(parse, numeric(row)))
                 except ValueError:
                     values = [_parse_numeric(t) for t in numeric(row)]
                     if None in values:
                         rejected.append(lineno)
                         continue
-                numbers.extend(values)
+                numbers.fromlist(values)
                 tokens.extend(categorical(row))
                 labels.append(code)
                 kept_lines.append(lineno)
@@ -373,7 +397,9 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
         raise _not_utf8(path) from None
 
     block = np.frombuffer(numbers).reshape(len(labels), len(numeric_pos))
-    cats = np.array([t.strip() for t in tokens], dtype=object).reshape(len(labels), len(token_pos))
+    stripped = {t: t.strip() for t in set(tokens)}  # each distinct token stripped once
+    cats = np.fromiter(map(stripped.__getitem__, tokens), dtype=object,
+                       count=len(tokens)).reshape(len(labels), len(token_pos))
     labels = np.asarray(labels, dtype=np.int64)
     finite = np.isfinite(block).all(axis=1)
     if not finite.all():  # float() takes nan and inf; _parse_numeric rejects them
@@ -457,7 +483,8 @@ class CategoricalEncoder:
             occurrences = self.occurrences.get(col.name, {})
             index = {tok: i for i, tok in enumerate(occurrences)}
             unknown = len(index)
-            codes = np.array([index.get(t, unknown) for t in values], dtype=np.intp)
+            codes = np.fromiter(map(index.get, values, itertools.repeat(unknown)), dtype=np.intp,
+                                count=len(values))
             if self.strategy == "ordinal":
                 features[:, at] = codes
                 names.append(col.name)

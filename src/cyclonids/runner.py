@@ -225,11 +225,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     cfg.validate()
     started = time.perf_counter()
     raw = _load_stage(cfg)
+    timings = {"load": time.perf_counter() - started}
+
+    t0 = time.perf_counter()
     train_rows, _ = holdout_rows(raw.n, cfg.test_fraction, cfg.seed)  # as split() draws them
     data = encode_categoricals(raw, cfg.resolved_encoding(), train_rows)
     summary = _summary(data, len(train_rows), raw.rejected_rows)
     del raw  # its parsed tokens pin ~400 MB of heap on a 250k-row KDD99 file
-    timings = {"load": time.perf_counter() - started}
+    timings["encode"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     halves = list(split(data, cfg.test_fraction, cfg.seed))
@@ -448,9 +451,11 @@ def run_kfold(cfg: ExperimentConfig) -> dict:
         train_rows = np.sort(np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]]))
         data = encode_categoricals(raw, cfg.resolved_encoding(), train_rows)
         summary = _summary(data, len(train_rows), raw.rejected_rows)
+        timings = {"load": load_s, "encode": time.perf_counter() - t0}
+        t1 = time.perf_counter()
         halves = [data.take(train_rows), data.take(test_rows)]
         del data
-        timings = {"load": load_s, "split": time.perf_counter() - t0}
+        timings["split"] = time.perf_counter() - t1
         rec = _run_split(cfg, summary, halves, timings, t0 - load_s)
         accuracies.append(rec.evaluation.accuracy)
         macro_f1s.append(rec.evaluation.macro_f1)

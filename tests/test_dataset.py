@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from cyclonids import dataset as dataset_mod
 from cyclonids.dataset import (CATEGORICAL, LABEL, NUMERIC, CategoricalEncoder, Dataset,
-                               class_distribution, encode_categoricals, kdd99_schema, load_csv,
-                               load_dataset, nslkdd_schema, numeric_schema, schema_by_name,
-                               split, synthetic_schema, ugransome_schema, write_csv)
+                               DatasetSchema, class_distribution, encode_categoricals,
+                               kdd99_schema, load_csv, load_dataset, nslkdd_schema,
+                               numeric_schema, schema_by_name, split, synthetic_schema,
+                               ugransome_schema, write_csv)
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.synthgen import SynthConfig, gen_classification
 from oracles import reference_load_csv, reference_read_synthetic_schema
@@ -270,18 +272,91 @@ def test_one_pass_loader_matches_the_reference_loader(tmp_path, layout):
             assert got == expected, path
             outcomes.add("error")
             continue
-        assert got.schema == expected.schema, path
-        assert got.labels.dtype == np.int64 and got.labels.tobytes() == expected.labels.tobytes()
-        assert got.rejected_rows == expected.rejected_rows, path
-        assert len(got.columns) == len(expected.columns)
-        for mine, ref in zip(got.columns, expected.columns):
-            assert mine.dtype == ref.dtype, path
-            if ref.dtype == object:
-                assert mine.tolist() == ref.tolist(), path
-            else:
-                assert mine.tobytes() == ref.tobytes(), path
+        _assert_same_load(got, expected, path)
         outcomes.add("rejected" if got.rejected_rows else "clean")
     assert outcomes == {"error", "rejected", "clean"}
+
+
+def _assert_same_load(got, expected, path):
+    """Same schema, labels, rejected lines and column bytes as the reference loader."""
+    assert got.schema == expected.schema, path
+    assert got.labels.dtype == np.int64 and got.labels.tobytes() == expected.labels.tobytes()
+    assert got.rejected_rows == expected.rejected_rows, path
+    assert len(got.columns) == len(expected.columns)
+    for mine, ref in zip(got.columns, expected.columns):
+        assert mine.dtype == ref.dtype, path
+        if ref.dtype == object:
+            assert mine.tolist() == ref.tolist(), path
+        else:
+            assert mine.tobytes() == ref.tobytes(), path
+
+
+# Fields the float memo must treat as float() and _parse_numeric do: rejected
+# ('?', 'nan', '1e999'), signed zeros, grouped digits and padding.
+_QUIRK_ROWS = (["?"], ["nan"], ["1e999"], ["-0", "0"], ["1 000"], [" 12 "])
+_KDD_NUMERIC = 38  # numeric columns of the KDD99 layout: all but 3 token columns and the label
+
+
+def _memo_csv(rng, regime: str) -> str:
+    """KDD99 text of more than _MEMO_ROWS rows in one regime of the float memo."""
+    repetitive = lambda: [str(rng.choice(["0", "1", "2", "0.00", "0.50", "1.00", "255"]))
+                          for _ in range(_KDD_NUMERIC)]
+    distinct = lambda: [repr(float(v)) for v in rng.normal(0.0, 1e3, _KDD_NUMERIC)]
+    if regime == "repetitive":
+        rows = [repetitive() for _ in range(1000)]
+    elif regime == "distinct":
+        rows = [distinct() for _ in range(1000)]
+    else:  # past the cap after a repetitive start, so the memo empties itself
+        rows = [repetitive() for _ in range(dataset_mod._MEMO_ROWS)]
+        rows += [distinct() for _ in range(dataset_mod._MEMO_CAP // _KDD_NUMERIC + 50)]
+    for at in (5, dataset_mod._MEMO_ROWS + 20, len(rows) - 3):  # before and after the switch
+        base = rows[at]
+        for quirk in _QUIRK_ROWS:
+            row, i = list(base), int(rng.integers(_KDD_NUMERIC - 1))
+            row[i:i + len(quirk)] = quirk
+            rows.insert(at, row)
+    labels = rng.choice(["normal.", "smurf.", "neptune"], len(rows))
+    return "".join(",".join([row[0], *rng.choice(_TOKENS, 3), *row[1:], label]) + "\n"
+                   for row, label in zip(rows, labels))
+
+
+@pytest.mark.parametrize("regime", ["repetitive", "distinct", "evicting"])
+def test_float_memo_matches_the_reference_loader(tmp_path, monkeypatch, regime):
+    misses = []
+
+    class CountingMemo(dataset_mod._FloatMemo):
+        def __missing__(self, token):
+            misses.append(len(self))
+            return super().__missing__(token)
+
+    monkeypatch.setattr(dataset_mod, "_FloatMemo", CountingMemo)
+    path = _write(tmp_path, f"{regime}.csv", _memo_csv(np.random.default_rng(7), regime))
+    got = load_csv(path, kdd99_schema())
+    _assert_same_load(got, reference_load_csv(path, kdd99_schema()), path)
+    assert len(got.rejected_rows) == 9 and got.n > dataset_mod._MEMO_ROWS
+    if regime == "repetitive":
+        assert len(misses) < 50
+    elif regime == "distinct":  # back to float() once the first rows showed no repeats
+        assert len(misses) < (dataset_mod._MEMO_ROWS + 10) * _KDD_NUMERIC
+    else:
+        assert max(misses) == dataset_mod._MEMO_CAP  # filled up, then emptied
+
+
+def test_schema_layout_is_read_a_constant_number_of_times(tmp_path, monkeypatch):
+    reads = Counter()
+    for name in ("arity", "label_position"):
+        getter = getattr(DatasetSchema, name).fget
+        monkeypatch.setattr(DatasetSchema, name, property(
+            lambda self, getter=getter, name=name: reads.update([name]) or getter(self)))
+    schema = kdd99_schema()
+    per_file = []
+    for n_rows in (5, 500):
+        reads.clear()
+        raw = load_csv(_write(tmp_path, f"{n_rows}.csv", f"{_kdd_row()}\n" * n_rows), schema)
+        assert raw.n == n_rows
+        per_file.append(dict(reads))
+    assert per_file[0] == per_file[1]
+    assert 1 <= per_file[1]["arity"] <= 2 and per_file[1]["label_position"] == 1
 
 
 # ---------------------------------------------------------------- encoding

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,21 @@ def test_stage_timings_strictly_positive(selector):
     for stage, seconds in rec.timings.items():
         assert seconds > 0.0, stage
     assert ("standardize" in rec.timings) == (selector != "pca")
+
+
+def test_encoding_is_timed_apart_from_loading(monkeypatch):
+    from cyclonids import runner
+
+    encode = runner.encode_categoricals
+
+    def slow_encode(*args, **kwargs):
+        time.sleep(0.3)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "encode_categoricals", slow_encode)
+    rec = run_experiment(_cfg())
+    assert list(rec.timings)[:3] == ["load", "encode", "split"]
+    assert rec.timings["encode"] >= 0.3 > rec.timings["load"]
 
 
 @pytest.mark.parametrize("selector", ["none", "boruta", "pca"])

@@ -6,8 +6,9 @@ For each workload and seed, ``perfbench/run.py`` runs once on an export of
 the base commit (``git archive``, in a temporary directory) and once on the
 working tree, alternating which side runs first. ``BENCH_<label>.json`` at
 the repository root gets every run's metrics and digests, and per metric
-each side's median and quartiles and the number of pairs the working tree
-won, plus the machine: CPU count, Python and numpy versions. Per workload it
+each side's median and quartiles, the number of pairs the working tree
+won and the ``gain`` and ``worse_than_bound`` flags (see ``_summary``), plus
+the machine: CPU count, Python and numpy versions. Per workload it
 also counts the pairs whose component digests (every digest but the
 report's) are equal on both sides, and each side's failed and attempted
 runs.
@@ -49,16 +50,27 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
+def _summary(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of BENCHMARK.json: both sides' spreads, the head's wins and two flags.
+
+    ``gain``: the head won at least 9 in 10 pairs (ties count for neither
+    side) and its median is better than the base's by more than the base's
+    IQR. ``worse_than_bound``: the head's median is worse than the base's by
+    more than the metric's ``bound``, a fraction of the base's median.
+    """
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
         both = [(p["base"]["metrics"][name], p["head"]["metrics"][name]) for p in pairs
                 if name in p["base"]["metrics"] and name in p["head"]["metrics"]]
         if not both:
             continue
-        wins = sum((h < b) if direction == "lower" else (h > b) for b, h in both)
-        out[name] = {"base": _spread([b for b, _ in both]), "head": _spread([h for _, h in both]),
-                     "head_wins": wins, "pairs": len(both)}
+        wins = sum((h < b) if lower else (h > b) for b, h in both)
+        base, head = _spread([b for b, _ in both]), _spread([h for _, h in both])
+        better_by = (base["median"] - head["median"]) * (1 if lower else -1)
+        out[name] = {"base": base, "head": head, "head_wins": wins, "pairs": len(both),
+                     "gain": 10 * wins >= 9 * len(both) and better_by > base["iqr"],
+                     "worse_than_bound": -better_by > metric["bound"] * abs(base["median"])}
     return out
 
 
@@ -80,7 +92,6 @@ def main(argv: list[str]) -> int:
     base_sha = git("rev-parse", args.base).decode().strip()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         benchmark = json.load(handle)
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     report = {"label": args.label, "base": base_sha, "head": "working tree on "
               + git("rev-parse", "HEAD").decode().strip(), "seconds": benchmark["run_seconds"],
               "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
@@ -100,7 +111,8 @@ def main(argv: list[str]) -> int:
                 pairs.append(pair)
             runs = {side: {key: sum(p[side][key] for p in pairs) for key in ("attempted", "failed")}
                     for side in ("base", "head")}
-            report["workloads"][workload] = {"summary": _summary(pairs, better), "runs": runs,
+            report["workloads"][workload] = {"summary": _summary(pairs, benchmark["end_to_end"]),
+                                             "runs": runs,
                                              "component_digests_equal": _same_models(pairs),
                                              "pairs": pairs}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
