@@ -5,18 +5,20 @@ random forest on the doubled matrix, and turns per-tree importances into
 Z-scores. A real feature scores a hit when its Z-score beats the maximum
 shadow Z-score (MZS); accumulated hits feed a two-sided binomial test
 (success probability 0.5) that promotes features to Confirmed or demotes
-them to Rejected. Whatever is still undecided when iteration budget runs out
-stays Tentative.
+them to Rejected. Its p-values are exact binomial tails: integer sums of
+binomial coefficients, each divided by 2**t once. Whatever is still
+undecided when iteration budget runs out stays Tentative.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
+import math
 import time
 
 import numpy as np
-from scipy import stats
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError
@@ -116,6 +118,18 @@ def z_scores(per_tree: np.ndarray) -> np.ndarray:
     return z
 
 
+def binomial_upper_tails(t: int) -> np.ndarray:
+    """P(X >= k) for k = 0..t, X ~ Binomial(t, 1/2).
+
+    Each tail is summed exactly in Python ints and divided by 2**t once, so
+    it is the correctly rounded double, for any t. By symmetry
+    P(X <= k) = P(X >= t - k).
+    """
+    whole = 2**t
+    sums = itertools.accumulate(math.comb(t, i) for i in range(t, -1, -1))
+    return np.array([s / whole for s in sums][::-1])
+
+
 def _assert_shadow_permutations(augmented: np.ndarray, original: np.ndarray) -> None:
     p = original.shape[1]
     for j in range(p):
@@ -163,8 +177,9 @@ def run_boruta(d: Dataset, cfg: BorutaConfig, check_shadows: bool = False) -> Bo
         # Two-sided binomial test on the hit counts of undecided features.
         idx = np.nonzero(undecided)[0]
         if len(idx):
-            p_high = stats.binom.sf(hits[idx] - 1, t, 0.5)
-            p_low = stats.binom.cdf(hits[idx], t, 0.5)
+            tails = binomial_upper_tails(t)
+            p_high = tails[hits[idx]]
+            p_low = tails[t - hits[idx]]
             state[idx[p_high <= cfg.alpha / 2.0]] = CONF
             state[idx[p_low <= cfg.alpha / 2.0]] = REJ
 

@@ -53,3 +53,21 @@ def test_ties_win_nothing_and_a_zero_base_takes_no_worsening():
 def test_metrics_missing_on_a_side_are_left_out():
     pairs = [{"base": {"metrics": {"accuracy": 0.9}}, "head": {"metrics": {}}}]
     assert bench_pairs._summary(pairs, [ACCURACY]) == {}
+
+
+def _digest_pair(base, head):
+    return {"base": {"digests": base}, "head": {"digests": head}}
+
+
+def test_report_and_component_digests_are_counted_apart():
+    model = {"classifier": "c1", "selector": "s1"}
+    pairs = [
+        _digest_pair({**model, bench_pairs.REPORT: "r1"}, {**model, bench_pairs.REPORT: "r1"}),
+        _digest_pair({**model, bench_pairs.REPORT: "r1"}, {**model, bench_pairs.REPORT: "r2"}),
+        _digest_pair({**model, bench_pairs.REPORT: "r1"}, dict(model)),  # head printed no report
+        _digest_pair({}, {}),  # a failed run on both sides
+    ]
+    assert bench_pairs._equal_digests(pairs, bench_pairs._report) == 1
+    assert bench_pairs._equal_digests(pairs, bench_pairs._components) == 3
+    assert bench_pairs._equal_digests([_digest_pair({}, {bench_pairs.REPORT: "r1"})],
+                                      bench_pairs._report) == 0

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cyclonids.boruta import (BorutaConfig, FeatureDecision, augment_with_shadows,
-                              run_boruta, z_scores)
+                              binomial_upper_tails, run_boruta, z_scores)
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.synthgen import SynthConfig, gen_classification
 
@@ -65,6 +66,41 @@ def test_z_scores_all_zero_importance_is_zero():
 def test_z_scores_too_few_trees():
     with pytest.raises(DataError):
         z_scores(np.array([[0.1, 0.2]]))
+
+
+# ------------------------------------------------------------ binomial test
+
+ALPHAS = (0.001, 0.01, 0.05, 0.1, 0.2, 0.5)
+
+
+def test_binomial_tails_match_scipy_decisions_and_values():
+    for t in range(1, 301):
+        tails = binomial_upper_tails(t)
+        assert tails.shape == (t + 1,)
+        k = np.arange(t + 1)
+        high, low = tails, tails[::-1]  # P(X >= k) and P(X <= k) = P(X >= t - k)
+        ref_high, ref_low = stats.binom.sf(k - 1, t, 0.5), stats.binom.cdf(k, t, 0.5)
+        np.testing.assert_allclose(high, ref_high, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(low, ref_low, rtol=1e-12, atol=0)
+        for alpha in ALPHAS:
+            assert np.array_equal(high <= alpha / 2, ref_high <= alpha / 2), (t, alpha)
+            assert np.array_equal(low <= alpha / 2, ref_low <= alpha / 2), (t, alpha)
+
+
+def test_binomial_tails_hand_computed():
+    assert binomial_upper_tails(1).tolist() == [1.0, 0.5]
+    assert binomial_upper_tails(3).tolist() == [1.0, 7 / 8, 4 / 8, 1 / 8]
+
+
+def test_binomial_tails_beyond_float_range_of_two_to_the_t():
+    t = 2000  # 2**t overflows a double; the tails themselves reach subnormals and 0
+    tails = binomial_upper_tails(t)
+    ref = stats.binom.sf(np.arange(t + 1) - 1, t, 0.5)
+    assert tails[0] == 1.0 and tails[-1] == 0.0 and np.all(np.diff(tails) <= 0)
+    # scipy's own error reaches about 2.4e-13 relative here; atol covers subnormals.
+    np.testing.assert_allclose(tails, ref, rtol=1e-11, atol=1e-300)
+    for alpha in ALPHAS:
+        assert np.array_equal(tails <= alpha / 2, ref <= alpha / 2)
 
 
 # ------------------------------------------------------------ run_boruta

@@ -1,10 +1,24 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from cyclonids.cli import main, parse_synth_spec
 from cyclonids.errors import ConfigError
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_special():
+    # Each costs a large share of start-up; no runtime code needs them.
+    probe = ("import sys, cyclonids.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parse_synth_spec():

@@ -10,8 +10,12 @@ each side's median and quartiles, the number of pairs the working tree
 won and the ``gain`` and ``worse_than_bound`` flags (see ``_summary``), plus
 the machine: CPU count, Python and numpy versions. Per workload it
 also counts the pairs whose component digests (every digest but the
-report's) are equal on both sides, and each side's failed and attempted
-runs.
+report's) are equal on both sides, the pairs whose "report (no timings)"
+digests are equal, and each side's failed and attempted runs.
+
+``runner.strip_timings`` zeroes timing values but keeps their keys, so a
+stage that is newly timed on its own moves the report digest even when
+nothing else in the report changed.
 """
 
 from __future__ import annotations
@@ -74,11 +78,20 @@ def _summary(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def _same_models(pairs: list[dict]) -> int:
-    """Pairs whose component digests are present and equal on both sides."""
-    components = lambda run: {k: v for k, v in run["digests"].items() if not k.startswith("report")}
-    return sum(bool(components(p["base"])) and components(p["base"]) == components(p["head"])
-               for p in pairs)
+REPORT = "report (no timings)"
+
+
+def _components(run: dict) -> dict:
+    return {k: v for k, v in run["digests"].items() if k != REPORT}
+
+
+def _report(run: dict) -> str | None:
+    return run["digests"].get(REPORT)
+
+
+def _equal_digests(pairs: list[dict], pick) -> int:
+    """Pairs whose picked digests are present and equal on both sides."""
+    return sum(bool(pick(p["base"])) and pick(p["base"]) == pick(p["head"]) for p in pairs)
 
 
 def main(argv: list[str]) -> int:
@@ -113,7 +126,10 @@ def main(argv: list[str]) -> int:
                     for side in ("base", "head")}
             report["workloads"][workload] = {"summary": _summary(pairs, benchmark["end_to_end"]),
                                              "runs": runs,
-                                             "component_digests_equal": _same_models(pairs),
+                                             "component_digests_equal":
+                                                 _equal_digests(pairs, _components),
+                                             "report_digests_equal":
+                                                 _equal_digests(pairs, _report),
                                              "pairs": pairs}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as handle:
