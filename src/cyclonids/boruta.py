@@ -130,14 +130,7 @@ def binomial_upper_tails(t: int) -> np.ndarray:
     return np.array([s / whole for s in sums][::-1])
 
 
-def _assert_shadow_permutations(augmented: np.ndarray, original: np.ndarray) -> None:
-    p = original.shape[1]
-    for j in range(p):
-        if not np.array_equal(np.sort(augmented[:, p + j]), np.sort(original[:, j])):
-            raise AssertionError(f"shadow column {j} is not a permutation of its source")
-
-
-def run_boruta(d: Dataset, cfg: BorutaConfig, check_shadows: bool = False) -> BorutaResult:
+def run_boruta(d: Dataset, cfg: BorutaConfig) -> BorutaResult:
     """Run the iterative shadow-feature selection loop on an encoded dataset.
 
     The nested forest config's seed is re-derived every iteration from
@@ -161,8 +154,6 @@ def run_boruta(d: Dataset, cfg: BorutaConfig, check_shadows: bool = False) -> Bo
         rng = np.random.default_rng([cfg.seed, t])
         forest_seed = int(rng.integers(0, 2**31 - 1))
         augmented = augment_with_shadows(x, rng)
-        if check_shadows:
-            _assert_shadow_permutations(augmented, x)
 
         forest_cfg = dataclasses.replace(cfg.forest, seed=forest_seed)
         model = train_forest_xy(augmented, y, n_classes, forest_cfg)

@@ -516,11 +516,6 @@ def encode_categoricals(raw: RawDataset, strategy: str = "onehot",
     return CategoricalEncoder(strategy).fit(raw, fit_rows).transform(raw)
 
 
-def load_dataset(path: str, schema: DatasetSchema, strategy: str = "onehot") -> Dataset:
-    """load_csv followed by encode_categoricals."""
-    return encode_categoricals(load_csv(path, schema), strategy)
-
-
 # --------------------------------------------------------------------------
 # Splitting and summaries
 # --------------------------------------------------------------------------

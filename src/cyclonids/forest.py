@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
 from .errors import ConfigError, DataError
 
 _MIN_GAIN = 1e-12
@@ -410,11 +409,6 @@ def train_forest_xy(x: np.ndarray, y: np.ndarray, n_classes: int, cfg: ForestCon
                        degenerate=degenerate, config=cfg)
 
 
-def train_forest(d: Dataset, cfg: ForestConfig) -> ForestModel:
-    return train_forest_xy(d.features, d.labels, len(d.class_names), cfg,
-                           class_names=d.class_names)
-
-
 def predict(model: ForestModel, m: np.ndarray) -> np.ndarray:
     """Plurality vote over trees; vote ties resolve to the lowest class index."""
     m = np.asarray(m, dtype=np.float64)
@@ -425,10 +419,6 @@ def predict(model: ForestModel, m: np.ndarray) -> np.ndarray:
     k = len(model.class_names)
     tallies = np.stack([(votes == c).sum(axis=0) for c in range(k)])  # (k, n)
     return np.argmax(tallies, axis=0)
-
-
-def feature_importance(model: ForestModel) -> np.ndarray:
-    return model.normalized_importance.copy()
 
 
 def per_tree_importances(model: ForestModel, normalize: bool = True) -> np.ndarray:

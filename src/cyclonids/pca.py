@@ -1,9 +1,9 @@
-"""Principal component analysis over standardized columns.
+"""Principal component analysis of the rows it is given.
 
-Fit standardizes the raw matrix (zero mean, unit sample std per column),
-then eigendecomposes its covariance; ``transform`` applies the same
-standardizer to raw rows before projecting them. A run with the PCA selector
-fits no other standardizer. Components are sorted by descending
+Fit eigendecomposes the sample covariance of its input; ``transform``
+projects rows onto the leading components. Both take rows that are already
+standardized: the runner fits the run's only standardizer and applies it
+before selection, whatever the selector. Components are sorted by descending
 eigenvalue, and each loading column is sign-fixed so its largest-magnitude
 entry is non-negative, which makes results deterministic across BLAS builds.
 """
@@ -14,16 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import preprocess
-from .errors import ConfigError, NumericError
-from .preprocess import Standardizer
+from .errors import ConfigError, DataError, NumericError
 
 _EIG_CLAMP = -1e-10
 
 
 @dataclass(frozen=True)
 class PCAModel:
-    standardizer: Standardizer
     loadings: np.ndarray  # (p, p), columns = components
     eigenvalues: np.ndarray  # descending, >= 0
     explained_variance_ratio: np.ndarray
@@ -33,19 +30,19 @@ class PCAModel:
         return self.loadings.shape[0]
 
     def to_text(self) -> str:
-        lines = ["pca", self.standardizer.to_text()]
+        lines = ["pca"]
         lines.append(" ".join(repr(float(v)) for v in self.eigenvalues))
         for row in self.loadings:
             lines.append(" ".join(repr(float(v)) for v in row))
         return "\n".join(lines)
 
 
-def fit_pca(m: np.ndarray) -> PCAModel:
-    standardizer = preprocess.fit_standardizer(m)
-    x = preprocess.transform(standardizer, m)
-    # np.cov's arithmetic, without its centred copy: x is a fresh array, so
-    # centre it in place (fit_standardizer has already refused fewer than 2 rows).
-    x -= x.mean(axis=0)
+def fit_pca(x: np.ndarray) -> PCAModel:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise DataError(f"need a 2-D matrix with at least 2 rows, got shape {x.shape}")
+    # np.cov's arithmetic, with one centred copy of the input.
+    x = x - x.mean(axis=0)
     cov = x.T @ x
     cov *= np.true_divide(1, x.shape[0] - 1)
 
@@ -69,15 +66,18 @@ def fit_pca(m: np.ndarray) -> PCAModel:
         ratios = eigenvalues / total
     else:
         ratios = np.full_like(eigenvalues, 1.0 / len(eigenvalues))
-    return PCAModel(standardizer=standardizer, loadings=vectors,
-                    eigenvalues=eigenvalues, explained_variance_ratio=ratios)
+    return PCAModel(loadings=vectors, eigenvalues=eigenvalues, explained_variance_ratio=ratios)
 
 
 def transform(model: PCAModel, m: np.ndarray, k: int) -> np.ndarray:
-    """Project raw rows, standardized by the model, onto the first k components."""
+    """Project standardized rows onto the first k components."""
     if not 1 <= k <= model.p:
         raise ConfigError(f"k must be in [1, {model.p}], got {k}")
-    return preprocess.transform(model.standardizer, m) @ model.loadings[:, :k]
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[1] != model.p:
+        raise DataError(f"matrix has {m.shape[1] if m.ndim == 2 else '?'} columns, "
+                        f"model expects {model.p}")
+    return m @ model.loadings[:, :k]
 
 
 def select_components(model: PCAModel, cumulative_threshold: float) -> int:

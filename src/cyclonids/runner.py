@@ -4,20 +4,22 @@ Pipeline order is fixed: load (one ``load_csv`` pass over the input file,
 or the generated ``--synth`` rows) -> encode (vocabulary from the training
 rows only) -> split -> standardize, select features and train the classifier
 (each fitted on the training split only) -> evaluate on the held-out split.
-A run fits one standardizer: on the PCA path it is the PCA model's, applied
-to raw rows inside the fit and the projection, and otherwise the runner's.
-The dataset summary is taken before the split, so the encoded matrix goes
-right after it, and each split matrix goes after its last use. No statistic
-of the test split ever reaches a fitted component, and every random stage is
-seeded, so a config reproduces its report bit for bit apart from wall-clock
-timings. k-fold runs the same post-split pipeline per fold, refitting
-everything, the encoder included, on that fold's training rows.
+The runner fits the run's only standardizer, whatever the selector, and the
+selector and the classifier see only standardized rows. The dataset summary
+is taken before the split, so the encoded matrix goes right after it, and
+each split matrix goes after its last use. No statistic of the test split
+ever reaches a fitted component, and every random stage is seeded, so a
+config reproduces its report bit for bit apart from wall-clock timings.
+k-fold runs the same post-split pipeline per fold, refitting everything, the
+encoder included, on that fold's training rows.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import platform
@@ -249,16 +251,14 @@ def _run_split(cfg: ExperimentConfig, summary: dict, halves: list[Dataset],
     train, test = halves
     halves.clear()
     t0 = time.perf_counter()
-    if cfg.selector != "pca":  # the PCA model fits and applies the run's standardizer
-        standardizer = preprocess.fit_standardizer(train.features)
-        train = dataclasses.replace(train, features=preprocess.transform(standardizer, train.features))
-        test = dataclasses.replace(test, features=preprocess.transform(standardizer, test.features))
-        timings["standardize"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
+    standardizer = preprocess.fit_standardizer(train.features)
+    train = dataclasses.replace(train, features=preprocess.transform(standardizer, train.features))
+    test = dataclasses.replace(test, features=preprocess.transform(standardizer, test.features))
+    timings["standardize"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     train, test, selector_report, selector_obj = _select_stage(cfg, train, test)
     timings["select"] = time.perf_counter() - t0
-    standardizer = selector_obj.standardizer if cfg.selector == "pca" else standardizer
 
     t0 = time.perf_counter()
     class_names, selected_names = list(train.class_names), list(train.feature_names)
@@ -343,11 +343,10 @@ def emit_reports(rec: RunRecord, out_dir: str) -> list[str]:
     written.append(path)
 
     cm = rec.evaluation.matrix
-    lines = [",".join(["actual\\predicted"] + list(cm.class_names))]
-    for name, row in zip(cm.class_names, cm.counts):
-        lines.append(",".join([name] + [str(int(v)) for v in row]))
+    rows = [["actual\\predicted"] + list(cm.class_names)]
+    rows += [[name] + [str(int(v)) for v in row] for name, row in zip(cm.class_names, cm.counts)]
     path = os.path.join(out_dir, "confusion.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv_text(rows))
     written.append(path)
 
     path = os.path.join(out_dir, "selector.csv")
@@ -378,20 +377,23 @@ def emit_reports(rec: RunRecord, out_dir: str) -> list[str]:
     return written
 
 
+def _csv_text(rows: list[list[str]]) -> str:
+    """Rows as CSV text, one line each; a field holding a comma or a quote is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _selector_csv(rec: RunRecord) -> str:
     rep = rec.selector_report
     if rep["type"] == "boruta":
-        header = "dataset,elapsed_seconds,iterations,confirmed,tentative,rejected"
-        row = (f"{rep['dataset']},{rep['elapsed_seconds']!r},{rep['iterations']},"
-               f"{rep['confirmed']},{rep['tentative']},{rep['rejected']}")
-        return header + "\n" + row + "\n"
+        header = ["dataset", "elapsed_seconds", "iterations", "confirmed", "tentative", "rejected"]
+        row = [rep["dataset"], repr(rep["elapsed_seconds"])] + [str(rep[k]) for k in header[2:]]
+        return _csv_text([header, row])
     if rep["type"] == "pca":
-        lines = ["feature,salience"]
-        lines += [f"{entry['feature']},{entry['score']!r}" for entry in rep["salience"]]
-        return "\n".join(lines) + "\n"
-    lines = ["feature"]
-    lines += rec.selected_features
-    return "\n".join(lines) + "\n"
+        return _csv_text([["feature", "salience"]]
+                         + [[entry["feature"], repr(entry["score"])] for entry in rep["salience"]])
+    return _csv_text([["feature"]] + [[name] for name in rec.selected_features])
 
 
 def compare_datasets(configs: list[ExperimentConfig]) -> list[dict]:
@@ -425,10 +427,7 @@ def compare_datasets(configs: list[ExperimentConfig]) -> list[dict]:
 def comparison_csv(rows: list[dict]) -> str:
     columns = ["dataset", "selector", "classifier", "accuracy", "macro_f1",
                "selector_summary", "train_seconds", "total_seconds"]
-    out = [",".join(columns)]
-    for row in rows:
-        out.append(",".join(str(row[c]) for c in columns))
-    return "\n".join(out) + "\n"
+    return _csv_text([columns] + [[str(row[c]) for c in columns] for row in rows])
 
 
 def run_kfold(cfg: ExperimentConfig) -> dict:

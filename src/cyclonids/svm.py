@@ -275,14 +275,6 @@ def train_svm(d: Dataset, cfg: SVMConfig) -> SVMModel:
                     objective_histories=histories, solves=solves)
 
 
-def decision_function(model: SVMModel, row: np.ndarray) -> np.ndarray:
-    """Per-class margins W_c . x + b_c for a single row."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1 or row.shape[0] != model.p:
-        raise DataError(f"row has shape {row.shape}, model expects ({model.p},)")
-    return model.weights @ row + model.biases
-
-
 def margins(model: SVMModel, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != model.p:

@@ -77,16 +77,17 @@ def test_criterion_2_pca_oracle():
         n = int(rng.integers(2, 21))
         p = int(rng.integers(1, 6))
         m = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p) + rng.uniform(-5, 5, p)
-        model = fit_pca(m)
+        s = fit_standardizer(m)
+        x = std_transform(s, m)
+        model = fit_pca(x)
 
-        s = model.standardizer
         z = (m - s.means) / s.stds
         z[:, s.zero_variance_flags] = 0.0
         cov = np.atleast_2d(np.cov(z, rowvar=False, ddof=1))
         oracle = power_iteration_eigenvalues(cov)
         worst_eig = max(worst_eig, float(np.max(np.abs(model.eigenvalues - oracle))))
 
-        recon = pca_transform(model, m, p) @ model.loadings.T
+        recon = pca_transform(model, x, p) @ model.loadings.T
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - z))))
         gram = model.loadings.T @ model.loadings
         worst_orth = max(worst_orth, float(np.max(np.abs(gram - np.eye(p)))))

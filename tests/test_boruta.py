@@ -107,14 +107,20 @@ def test_binomial_tails_beyond_float_range_of_two_to_the_t():
 
 def test_planted_feature_recovery_single_seed():
     d, informative = gen_classification(SynthConfig(500, 3, 7, 2, 5.0, seed=0))
-    result = run_boruta(d, BorutaConfig(max_iterations=20, alpha=0.05, seed=0),
-                        check_shadows=True)
+    result = run_boruta(d, BorutaConfig(max_iterations=20, alpha=0.05, seed=0))
     confirmed = _decided(result, FeatureDecision.CONFIRMED)
     rejected = _decided(result, FeatureDecision.REJECTED)
     noise = set(range(10)) - informative
     assert informative <= confirmed
     assert len(rejected & noise) >= 6
     assert result.iterations_used <= 20
+    # every iteration's shadows, drawn from run_boruta's own streams, permute their sources
+    for t in range(1, result.iterations_used + 1):
+        rng = np.random.default_rng([0, t])
+        rng.integers(0, 2**31 - 1)  # the iteration's forest seed comes first
+        augmented = augment_with_shadows(d.features, rng)
+        for j in range(d.p):
+            assert np.array_equal(np.sort(augmented[:, d.p + j]), np.sort(d.features[:, j]))
 
 
 def test_no_signal_gives_no_confirmations():

@@ -7,8 +7,8 @@ import pytest
 from cyclonids.boruta import BorutaConfig, run_boruta
 from cyclonids.dataset import Dataset
 from cyclonids.errors import ConfigError, DataError
-from cyclonids.forest import (DecisionTree, ForestConfig, ForestModel, feature_importance,
-                              per_tree_importances, predict, train_forest, train_forest_xy)
+from cyclonids.forest import (DecisionTree, ForestConfig, ForestModel, per_tree_importances,
+                              predict, train_forest_xy)
 from cyclonids.synthgen import SynthConfig, gen_classification
 from oracles import best_gini_split
 
@@ -18,6 +18,11 @@ def _dataset(features, labels, k=2):
                    labels=np.asarray(labels, dtype=int),
                    feature_names=[f"f{i}" for i in range(np.asarray(features).shape[1])],
                    schema_id="synthetic", class_names=[f"c{i}" for i in range(k)])
+
+
+def _train(d, cfg):
+    return train_forest_xy(d.features, d.labels, len(d.class_names), cfg,
+                           class_names=d.class_names)
 
 
 def _leaf_tree(class_idx, k=2, p=1):
@@ -39,17 +44,17 @@ def test_single_separating_feature():
     x = np.concatenate([rng.uniform(-2.0, -1.0, 25), rng.uniform(1.0, 2.0, 25)])
     y = (x >= 0).astype(int)
     d = _dataset(x.reshape(-1, 1), y)
-    model = train_forest(d, ForestConfig(n_trees=20, seed=1))
+    model = _train(d, ForestConfig(n_trees=20, seed=1))
     assert np.mean(predict(model, d.features) == y) == 1.0
-    assert feature_importance(model).tolist() == [1.0]
+    assert model.normalized_importance.tolist() == [1.0]
 
 
 def test_importance_prefers_informative_over_noise():
     for seed in range(10):
         d, informative = gen_classification(SynthConfig(500, 1, 1, 2, 5.0, seed=seed))
         inf = informative.pop()
-        model = train_forest(d, ForestConfig(n_trees=15, seed=seed))
-        importance = feature_importance(model)
+        model = _train(d, ForestConfig(n_trees=15, seed=seed))
+        importance = model.normalized_importance
         assert importance[inf] > importance[1 - inf]
 
 
@@ -57,23 +62,23 @@ def test_top3_importance_recovers_planted_features():
     hits = 0
     for seed in range(10):
         d, informative = gen_classification(SynthConfig(500, 3, 7, 2, 5.0, seed=seed))
-        model = train_forest(d, ForestConfig(n_trees=25, seed=seed))
-        top3 = set(np.argsort(feature_importance(model))[::-1][:3].tolist())
+        model = _train(d, ForestConfig(n_trees=25, seed=seed))
+        top3 = set(np.argsort(model.normalized_importance)[::-1][:3].tolist())
         hits += top3 == informative
     assert hits >= 9
 
 
 def test_degenerate_single_class():
     d = _dataset(np.random.default_rng(1).standard_normal((20, 3)), np.zeros(20, dtype=int))
-    model = train_forest(d, ForestConfig(n_trees=5, seed=0))
+    model = _train(d, ForestConfig(n_trees=5, seed=0))
     assert model.degenerate
-    assert feature_importance(model).tolist() == [0.0, 0.0, 0.0]
+    assert model.normalized_importance.tolist() == [0.0, 0.0, 0.0]
     assert np.all(predict(model, d.features) == 0)
 
 
 def test_single_tree_forest_equals_tree():
     d, _ = gen_classification(SynthConfig(120, 2, 2, 2, 3.0, seed=4))
-    model = train_forest(d, ForestConfig(n_trees=1, seed=4))
+    model = _train(d, ForestConfig(n_trees=1, seed=4))
     assert np.array_equal(predict(model, d.features), model.trees[0].predict(d.features))
 
 
@@ -91,7 +96,7 @@ def test_vote_tie_breaks_to_lowest_class_index():
 
 def test_every_prediction_is_some_trees_vote():
     d, _ = gen_classification(SynthConfig(200, 2, 4, 3, 1.0, seed=6))
-    model = train_forest(d, ForestConfig(n_trees=7, seed=6))
+    model = _train(d, ForestConfig(n_trees=7, seed=6))
     forest_votes = predict(model, d.features)
     tree_votes = np.stack([t.predict(d.features) for t in model.trees])
     assert np.all((tree_votes == forest_votes).any(axis=0))
@@ -99,24 +104,24 @@ def test_every_prediction_is_some_trees_vote():
 
 def test_determinism():
     d, _ = gen_classification(SynthConfig(150, 2, 3, 2, 2.0, seed=7))
-    a = train_forest(d, ForestConfig(n_trees=9, seed=7))
-    b = train_forest(d, ForestConfig(n_trees=9, seed=7))
+    a = _train(d, ForestConfig(n_trees=9, seed=7))
+    b = _train(d, ForestConfig(n_trees=9, seed=7))
     assert a.to_text() == b.to_text()
     assert np.array_equal(predict(a, d.features), predict(b, d.features))
-    assert np.array_equal(feature_importance(a), feature_importance(b))
+    assert np.array_equal(a.normalized_importance, b.normalized_importance)
 
 
 def test_importance_nonnegative_and_normalized():
     d, _ = gen_classification(SynthConfig(300, 2, 5, 3, 1.5, seed=8))
-    model = train_forest(d, ForestConfig(n_trees=12, seed=8))
-    imp = feature_importance(model)
+    model = _train(d, ForestConfig(n_trees=12, seed=8))
+    imp = model.normalized_importance
     assert np.all(imp >= 0.0)
     assert abs(imp.sum() - 1.0) < 1e-9
 
 
 def test_purity_stop():
     d, _ = gen_classification(SynthConfig(200, 2, 2, 2, 4.0, seed=9))
-    model = train_forest(d, ForestConfig(n_trees=5, seed=9))
+    model = _train(d, ForestConfig(n_trees=5, seed=9))
     for tree in model.trees:
         internal = tree.feature >= 0
         counts = tree.counts[internal]
@@ -126,14 +131,14 @@ def test_purity_stop():
 
 def test_bootstrap_excludes_rows():
     d, _ = gen_classification(SynthConfig(50, 1, 1, 2, 1.0, seed=10))
-    model = train_forest(d, ForestConfig(n_trees=20, seed=10))
+    model = _train(d, ForestConfig(n_trees=20, seed=10))
     for tree in model.trees:
         assert len(set(tree.bootstrap_indices.tolist())) < d.n
 
 
 def test_per_tree_importances_shape_and_normalization():
     d, _ = gen_classification(SynthConfig(150, 2, 2, 2, 2.0, seed=11))
-    model = train_forest(d, ForestConfig(n_trees=6, seed=11))
+    model = _train(d, ForestConfig(n_trees=6, seed=11))
     mat = per_tree_importances(model)
     assert mat.shape == (6, 4)
     sums = mat.sum(axis=1)
@@ -142,7 +147,7 @@ def test_per_tree_importances_shape_and_normalization():
 
 def test_max_depth_respected():
     d, _ = gen_classification(SynthConfig(400, 1, 3, 2, 0.5, seed=12))
-    model = train_forest(d, ForestConfig(n_trees=4, max_depth=2, seed=12))
+    model = _train(d, ForestConfig(n_trees=4, max_depth=2, seed=12))
     for tree in model.trees:
         # depth<=2 means at most 1 + 2 + 4 = 7 nodes
         assert tree.n_nodes <= 7
@@ -151,12 +156,12 @@ def test_max_depth_respected():
 def test_errors():
     d = _dataset([[0.0], [1.0]], [0, 1])
     with pytest.raises(ConfigError):
-        train_forest(d, ForestConfig(n_trees=0))
+        _train(d, ForestConfig(n_trees=0))
     with pytest.raises(ConfigError):
-        train_forest(d, ForestConfig(mtry=5))
+        _train(d, ForestConfig(mtry=5))
     with pytest.raises(DataError):
         train_forest_xy(np.zeros((0, 2)), np.zeros(0, dtype=int), 2, ForestConfig())
-    model = train_forest(d, ForestConfig(n_trees=1))
+    model = _train(d, ForestConfig(n_trees=1))
     with pytest.raises(DataError):
         predict(model, np.zeros((2, 3)))
 

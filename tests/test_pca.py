@@ -6,6 +6,7 @@ import pytest
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.pca import PCAModel, feature_salience, fit_pca, select_components, transform
 from cyclonids.preprocess import fit_standardizer
+from cyclonids.preprocess import transform as standardize
 from oracles import power_iteration_eigenvalues
 
 # Frozen 4x3 fixture; expected eigenvalues come from the power-iteration
@@ -18,6 +19,11 @@ FIXED_4x3 = np.array([
 ])
 
 
+def _z(m):
+    """The rows the runner hands to PCA: m under a standardizer fitted on m."""
+    return standardize(fit_standardizer(m), m)
+
+
 def _standardized_cov(m):
     s = fit_standardizer(m)
     z = (m - s.means) / s.stds
@@ -28,7 +34,7 @@ def _standardized_cov(m):
 def test_perfectly_correlated_columns():
     y1 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     m = np.column_stack([y1, 2.0 * y1])
-    model = fit_pca(m)
+    model = fit_pca(_z(m))
     assert abs(model.explained_variance_ratio[0] - 1.0) < 1e-10
     assert model.eigenvalues[1] < 1e-10
 
@@ -41,12 +47,12 @@ def test_exact_identity_covariance_gives_uniform_ratios():
     # whiten so the standardized covariance is exactly the identity
     vals, vecs = np.linalg.eigh(cov)
     white = z @ vecs @ np.diag(vals ** -0.5) @ vecs.T
-    model = fit_pca(white)
+    model = fit_pca(_z(white))
     assert np.allclose(model.explained_variance_ratio, 0.25, atol=1e-8)
 
 
 def test_fixed_matrix_matches_eigen_oracle():
-    model = fit_pca(FIXED_4x3)
+    model = fit_pca(_z(FIXED_4x3))
     oracle = power_iteration_eigenvalues(_standardized_cov(FIXED_4x3))
     assert np.max(np.abs(model.eigenvalues - oracle)) < 1e-6
 
@@ -57,7 +63,7 @@ def test_oracle_equivalence_on_random_matrices():
         n = int(rng.integers(2, 21))
         p = int(rng.integers(1, 6))
         m = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0, p) + rng.uniform(-3, 3, p)
-        model = fit_pca(m)
+        model = fit_pca(_z(m))
         oracle = power_iteration_eigenvalues(_standardized_cov(m))
         assert np.max(np.abs(model.eigenvalues - oracle)) < 1e-6
 
@@ -65,10 +71,11 @@ def test_oracle_equivalence_on_random_matrices():
 def test_full_rank_reconstruction():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((25, 6))
-    model = fit_pca(m)
-    scores = transform(model, m, model.p)
+    s = fit_standardizer(m)
+    x = standardize(s, m)
+    model = fit_pca(x)
+    scores = transform(model, x, model.p)
     recon = scores @ model.loadings.T
-    s = model.standardizer
     z = (m - s.means) / s.stds
     assert np.max(np.abs(recon - z)) < 1e-8
 
@@ -76,16 +83,18 @@ def test_full_rank_reconstruction():
 def test_row_of_means_scores_zero():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((15, 3)) + 5.0
-    model = fit_pca(m)
-    scores = transform(model, model.standardizer.means.reshape(1, -1), 3)
+    s = fit_standardizer(m)
+    model = fit_pca(standardize(s, m))
+    scores = transform(model, standardize(s, s.means.reshape(1, -1)), 3)
     assert np.max(np.abs(scores)) < 1e-10
 
 
 def test_score_variances_equal_eigenvalues():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((60, 4)) @ rng.standard_normal((4, 4))
-    model = fit_pca(m)
-    scores = transform(model, m, 4)
+    x = _z(m)
+    model = fit_pca(x)
+    scores = transform(model, x, 4)
     variances = scores.var(axis=0, ddof=1)
     assert np.max(np.abs(variances - model.eigenvalues)) < 1e-6
 
@@ -93,7 +102,7 @@ def test_score_variances_equal_eigenvalues():
 def test_orthonormality_and_trace():
     rng = np.random.default_rng(4)
     m = rng.standard_normal((30, 5))
-    model = fit_pca(m)
+    model = fit_pca(_z(m))
     gram = model.loadings.T @ model.loadings
     assert np.max(np.abs(gram - np.eye(5))) < 1e-8
     cov = _standardized_cov(m)
@@ -103,7 +112,7 @@ def test_orthonormality_and_trace():
 def test_sign_convention():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((40, 5))
-    model = fit_pca(m)
+    model = fit_pca(_z(m))
     for j in range(model.p):
         column = model.loadings[:, j]
         assert column[np.argmax(np.abs(column))] >= 0.0
@@ -112,8 +121,7 @@ def test_sign_convention():
 def _fabricated_model(ratios):
     ratios = np.asarray(ratios, dtype=float)
     p = len(ratios)
-    dummy = fit_standardizer(np.arange(2 * p, dtype=float).reshape(2, p))
-    return PCAModel(standardizer=dummy, loadings=np.eye(p),
+    return PCAModel(loadings=np.eye(p),
                     eigenvalues=ratios * p, explained_variance_ratio=ratios)
 
 
@@ -137,7 +145,7 @@ def test_salience_single_varying_column():
     rng = np.random.default_rng(6)
     m = np.ones((20, 4)) * 3.0
     m[:, 2] = rng.standard_normal(20)
-    ranked = feature_salience(fit_pca(m))
+    ranked = feature_salience(fit_pca(_z(m)))
     assert ranked[0][0] == 2
 
 
@@ -145,13 +153,13 @@ def test_salience_tie_break_by_index():
     # two exactly mirrored independent columns: symmetric salience
     base = np.array([1.0, -1.0, 2.0, -2.0])
     m = np.column_stack([base, base[::-1]])
-    ranked = feature_salience(fit_pca(m))
+    ranked = feature_salience(fit_pca(_z(m)))
     assert abs(ranked[0][1] - ranked[1][1]) < 1e-12
     assert [r[0] for r in ranked] == [0, 1]
 
 
 def test_transform_errors():
-    model = fit_pca(np.arange(12, dtype=float).reshape(4, 3) ** 1.5)
+    model = fit_pca(_z(np.arange(12, dtype=float).reshape(4, 3) ** 1.5))
     with pytest.raises(ConfigError):
         transform(model, np.zeros((2, 3)), 0)
     with pytest.raises(ConfigError):
@@ -159,11 +167,13 @@ def test_transform_errors():
     with pytest.raises(DataError):
         transform(model, np.zeros((2, 5)), 2)
     with pytest.raises(DataError):
+        transform(model, np.zeros(3), 2)
+    with pytest.raises(DataError):
         fit_pca(np.zeros((1, 3)))
 
 
-def test_fit_holds_one_standardized_copy_of_its_input():
-    m = np.random.default_rng(21).standard_normal((20000, 50))
+def test_fit_holds_one_centred_copy_of_its_input():
+    m = _z(np.random.default_rng(21).standard_normal((20000, 50)))
     tracemalloc.start()
     try:
         fit_pca(m)

@@ -5,8 +5,7 @@ import pytest
 
 from cyclonids.dataset import Dataset, split
 from cyclonids.errors import ConfigError, DataError
-from cyclonids.svm import (SVMConfig, SVMModel, _solve_binary, decision_function, margins,
-                           predict, train_svm)
+from cyclonids.svm import SVMConfig, SVMModel, _solve_binary, margins, predict, train_svm
 from cyclonids.synthgen import SynthConfig, gen_classification
 from oracles import (best_linear_rule_accuracy, reference_smo, svm_lattice_minimum,
                      svm_primal_objective)
@@ -97,19 +96,19 @@ def test_objective_history_is_monotone():
         assert np.all(diffs <= 1e-6)
 
 
-def test_decision_function_properties():
+def test_margins_properties():
     d, _ = gen_classification(SynthConfig(100, 2, 1, 2, 5.0, seed=15))
     model = train_svm(d, SVMConfig())
     # x = 0 -> margins are the biases
-    assert np.allclose(decision_function(model, np.zeros(3)), model.biases)
+    assert np.allclose(margins(model, np.zeros((1, 3)))[0], model.biases)
     # a point on the class-1 hyperplane has zero class-1 margin
     w, b = model.weights[1], model.biases[1]
     x_on_plane = -b * w / float(w @ w)
-    assert abs(decision_function(model, x_on_plane)[1]) < 1e-9
+    assert abs(margins(model, x_on_plane[None, :])[0, 1]) < 1e-9
     # scaling x by 2 doubles margin - bias
-    x = np.array([0.3, -1.2, 0.7])
-    m1 = decision_function(model, x) - model.biases
-    m2 = decision_function(model, 2.0 * x) - model.biases
+    x = np.array([[0.3, -1.2, 0.7]])
+    m1 = margins(model, x) - model.biases
+    m2 = margins(model, 2.0 * x) - model.biases
     assert np.allclose(m2, 2.0 * m1)
 
 
@@ -155,7 +154,7 @@ def test_errors():
     with pytest.raises(DataError):
         margins(model, np.zeros((2, 9)))
     with pytest.raises(DataError):
-        decision_function(model, np.zeros(9))
+        margins(model, np.zeros((1, 9)))
 
 
 def _duplicated_rows_dataset():

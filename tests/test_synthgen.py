@@ -14,11 +14,11 @@ def test_single_informative_column_is_threshold_separable():
 
 def test_zero_separation_gives_chance_accuracy():
     from cyclonids.dataset import split
-    from cyclonids.forest import ForestConfig, train_forest, predict
+    from cyclonids.forest import ForestConfig, train_forest_xy, predict
 
     d, _ = gen_classification(SynthConfig(600, 3, 2, 2, 0.0, seed=5))
     pair = split(d, 0.25, 5)
-    model = train_forest(pair.train, ForestConfig(n_trees=30, seed=5))
+    model = train_forest_xy(pair.train.features, pair.train.labels, 2, ForestConfig(n_trees=30, seed=5))
     acc = float(np.mean(predict(model, pair.test.features) == pair.test.labels))
     assert abs(acc - 0.5) <= 0.1
 
