@@ -5,7 +5,9 @@ purely numeric synthetic data. ``load_csv`` is the only code that reads an
 input CSV and reads it once, inferring the schema of a synthetic file from
 its header on the way; it produces the same in-memory representation as the
 generated ``--synth`` rows, so the rest of the pipeline never cares where
-rows came from.
+rows came from. A run splits those parsed rows first and then encodes each
+split with the vocabulary of the training split alone, so no feature matrix
+of the whole file is ever built.
 """
 
 from __future__ import annotations
@@ -84,6 +86,14 @@ class RawDataset:
     def n(self) -> int:
         return len(self.labels)
 
+    @property
+    def class_names(self) -> list[str]:
+        return list(self.schema.class_names)
+
+    def take(self, indices: np.ndarray) -> "RawDataset":
+        """New RawDataset holding the given rows (used by split and k-fold)."""
+        return RawDataset(self.schema, [c[indices] for c in self.columns], self.labels[indices])
+
 
 @dataclass
 class Dataset:
@@ -141,8 +151,8 @@ class Dataset:
 
 
 class SplitPair(NamedTuple):
-    train: Dataset
-    test: Dataset
+    train: Dataset | RawDataset
+    test: Dataset | RawDataset
 
 
 # --------------------------------------------------------------------------
@@ -456,11 +466,11 @@ class CategoricalEncoder:
         self.occurrences: dict[str, dict[str, int]] = {}
         self._fitted = False
 
-    def fit(self, raw: RawDataset, rows: np.ndarray | None = None) -> "CategoricalEncoder":
-        """Learn each categorical column's tokens from ``rows`` (default: all rows)."""
+    def fit(self, raw: RawDataset) -> "CategoricalEncoder":
+        """Learn each categorical column's tokens from the rows of ``raw``."""
         for col, values in zip(raw.schema.feature_columns(), raw.columns):
             if col.kind == CATEGORICAL:
-                self.occurrences[col.name] = dict(Counter(values if rows is None else values[rows]))
+                self.occurrences[col.name] = dict(Counter(values))
         self._fitted = True
         return self
 
@@ -506,14 +516,16 @@ class CategoricalEncoder:
                        encoding_map=encoding_map)
 
 
-def encode_categoricals(raw: RawDataset, strategy: str = "onehot",
-                        fit_rows: np.ndarray | None = None) -> Dataset:
-    """Encode every row of ``raw`` with the vocabulary of ``fit_rows`` (default: all rows).
+def encode_categoricals(raw: RawDataset, encoder: CategoricalEncoder | str = "onehot") -> Dataset:
+    """Encode every row of ``raw`` with a fitted encoder, or with a new encoder of the
+    named strategy fitted on ``raw`` itself.
 
-    Tokens that occur only outside ``fit_rows`` go to the unknown column
+    Tokens the encoder did not see at fit time go to the unknown column
     (onehot) or the reserved code (ordinal).
     """
-    return CategoricalEncoder(strategy).fit(raw, fit_rows).transform(raw)
+    if isinstance(encoder, str):
+        encoder = CategoricalEncoder(encoder).fit(raw)
+    return encoder.transform(raw)
 
 
 # --------------------------------------------------------------------------
@@ -537,13 +549,13 @@ def holdout_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, n
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def split(d: Dataset, test_fraction: float, seed: int) -> SplitPair:
-    """The rows of ``d`` partitioned by ``holdout_rows``."""
+def split(d: Dataset | RawDataset, test_fraction: float, seed: int) -> SplitPair:
+    """The rows of ``d``, encoded or only parsed, partitioned by ``holdout_rows``."""
     train_idx, test_idx = holdout_rows(d.n, test_fraction, seed)
     return SplitPair(train=d.take(train_idx), test=d.take(test_idx))
 
 
-def class_distribution(d: Dataset) -> dict[str, int]:
+def class_distribution(d: Dataset | RawDataset) -> dict[str, int]:
     """Per-class row counts over all classes in the schema (zeros included)."""
     counts = np.bincount(d.labels, minlength=len(d.class_names))
     return {name: int(c) for name, c in zip(d.class_names, counts)}

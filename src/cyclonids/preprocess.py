@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import DataError
 
+_BLOCK_ROWS = 4096  # rows of squared deviations held at once by fit_standardizer
+
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -37,7 +39,20 @@ def fit_standardizer(m: np.ndarray) -> Standardizer:
     if m.ndim != 2 or m.shape[0] < 2:
         raise DataError(f"need a 2-D matrix with at least 2 rows, got shape {m.shape}")
     means = m.mean(axis=0)
-    stds = m.std(axis=0, ddof=1)
+    # m.std(axis=0, ddof=1) without its n x p temporary: the squared deviations
+    # are summed a block of rows at a time, each block's first row carrying
+    # the sum so far. numpy reduces a C-contiguous matrix of two or more
+    # columns over axis 0 row after row, so this is the same sum, bit for bit.
+    # A single column (or another layout) it sums pairwise: one block then.
+    n, p = m.shape
+    step = _BLOCK_ROWS if m.flags.c_contiguous and p > 1 else n
+    total = np.zeros(p)
+    for start in range(0, n, step):
+        block = m[start:start + step] - means
+        np.multiply(block, block, out=block)
+        block[0] += total
+        total = np.add.reduce(block, axis=0)
+    stds = np.sqrt(total / (n - 1))
     # A constant column must be flagged even when summation round-off keeps
     # the computed std a hair above zero; max == min is the exact test.
     flags = m.max(axis=0) == m.min(axis=0)

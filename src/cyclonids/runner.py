@@ -1,17 +1,18 @@
 """End-to-end experiment orchestration.
 
 Pipeline order is fixed: load (one ``load_csv`` pass over the input file,
-or the generated ``--synth`` rows) -> encode (vocabulary from the training
-rows only) -> split -> standardize, select features and train the classifier
-(each fitted on the training split only) -> evaluate on the held-out split.
-The runner fits the run's only standardizer, whatever the selector, and the
-selector and the classifier see only standardized rows. The dataset summary
-is taken before the split, so the encoded matrix goes right after it, and
-each split matrix goes after its last use. No statistic of the test split
-ever reaches a fitted component, and every random stage is seeded, so a
-config reproduces its report bit for bit apart from wall-clock timings.
-k-fold runs the same post-split pipeline per fold, refitting everything, the
-encoder included, on that fold's training rows.
+or the generated ``--synth`` rows) -> split the parsed rows -> encode each
+split (vocabulary from the training split only) -> standardize, select
+features and train the classifier (each fitted on the training split only)
+-> evaluate on the held-out split. No feature matrix of the whole input is
+ever built: each split is encoded into its own matrix, and each matrix goes
+after its last use. The runner fits the run's only standardizer, whatever
+the selector, and the selector and the classifier see only standardized
+rows. No statistic of the test split ever reaches a fitted component, and
+every random stage is seeded, so a config reproduces its report bit for bit
+apart from wall-clock timings. k-fold runs the same post-split pipeline per
+fold, refitting everything, the encoder included, on that fold's training
+rows.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from . import pca as pca_mod
 from . import preprocess
 from . import svm as svm_mod
 from .boruta import BorutaConfig
-from .dataset import (Dataset, RawDataset, class_distribution, encode_categoricals,
-                      holdout_rows, load_csv, numeric_schema, schema_by_name, split)
-from .errors import ConfigError
+from .dataset import (CategoricalEncoder, Dataset, RawDataset, class_distribution,
+                      encode_categoricals, load_csv, numeric_schema, schema_by_name, split)
+from .errors import ConfigError, DataError
 from .forest import ForestConfig
 from .metrics import EvaluationReport
 from .svm import SVMConfig
@@ -149,36 +150,51 @@ def _load_stage(cfg: ExperimentConfig) -> RawDataset:
     return load_csv(cfg.data_path, None if cfg.schema == "synthetic" else schema_by_name(cfg.schema))
 
 
-def _summary(data: Dataset, n_train: int, rejected_rows: list[int]) -> dict:
-    """The report's dataset section, built before the split so ``data`` can go."""
+def _parsed_summary(raw: RawDataset) -> dict:
+    """The part of the report's dataset section that the parsed rows give."""
     return {
-        "n_rows": data.n,
-        "n_features": data.p,
-        "n_train": n_train,
-        "n_test": data.n - n_train,
-        "class_distribution": class_distribution(data),
+        "n_rows": raw.n,
+        "class_distribution": class_distribution(raw),
+        "rejected_rows": {"count": len(raw.rejected_rows), "first": raw.rejected_rows[:20]},
+    }
+
+
+def _summary(parsed: dict, train: Dataset, test: Dataset) -> dict:
+    """The report's dataset section: ``parsed`` plus the encoded splits' sizes and the
+    training split's vocabulary."""
+    return {
+        **parsed,
+        "n_features": train.p,
+        "n_train": train.n,
+        "n_test": test.n,
         # training-row token frequencies per categorical column (top 20), so
         # salience rankings can be compared against plain occurrence counts
         "categorical_occurrences": {
             col: dict(sorted(info["occurrences"].items(), key=lambda kv: (-kv[1], kv[0]))[:20])
-            for col, info in data.encoding_map.items()
+            for col, info in train.encoding_map.items()
         },
-        "rejected_rows": {"count": len(rejected_rows), "first": rejected_rows[:20]},
     }
 
 
-def _select_stage(cfg: ExperimentConfig, train: Dataset, test: Dataset):
+def _replace_each(halves: list, fn) -> None:
+    """``halves[i] = fn(halves[i])`` for each split, so each input goes as soon as its output exists."""
+    for i in range(len(halves)):
+        halves[i] = fn(halves[i])
+
+
+def _select_stage(cfg: ExperimentConfig, halves: list[Dataset]):
     """Fit the selector on the training split only and apply it to both splits.
 
-    Returns (selected train split, selected test split, selector report dict,
-    fitted selector object or None).
+    Each split in ``halves`` = [train, test] is replaced by its selected or
+    projected copy. Returns (selector report dict, fitted selector object or
+    None).
     """
-    names = list(train.feature_names)
+    names = list(halves[0].feature_names)
     if cfg.selector == "none":
-        return train, test, {"type": "none", "n_features": len(names)}, None
+        return {"type": "none", "n_features": len(names)}, None
 
     if cfg.selector == "boruta":
-        result = boruta_mod.run_boruta(train, cfg.boruta)
+        result = boruta_mod.run_boruta(halves[0], cfg.boruta)
         selected = result.selected_indices()
         fallback = None
         if not selected:
@@ -202,11 +218,11 @@ def _select_stage(cfg: ExperimentConfig, train: Dataset, test: Dataset):
             "final_mzs": result.z_history[-1][1],
             "fallback": fallback,
         }
-        keep = lambda d: dataclasses.replace(d, features=d.features[:, selected],
-                                             feature_names=[names[i] for i in selected])
-        return keep(train), keep(test), report, result
+        _replace_each(halves, lambda d: dataclasses.replace(
+            d, features=d.features[:, selected], feature_names=[names[i] for i in selected]))
+        return report, result
 
-    model = pca_mod.fit_pca(train.features)
+    model = pca_mod.fit_pca(halves[0].features)
     k = pca_mod.select_components(model, cfg.pca_threshold)
     salience = pca_mod.feature_salience(model)
     report = {
@@ -217,9 +233,10 @@ def _select_stage(cfg: ExperimentConfig, train: Dataset, test: Dataset):
         "explained_variance_ratio": [float(r) for r in model.explained_variance_ratio],
         "salience": [{"feature": names[idx], "score": score} for idx, score in salience],
     }
-    project = lambda d: dataclasses.replace(d, features=pca_mod.transform(model, d.features, k),
-                                            feature_names=[f"PC{i + 1}" for i in range(k)])
-    return project(train), project(test), report, model
+    _replace_each(halves, lambda d: dataclasses.replace(
+        d, features=pca_mod.transform(model, d.features, k),
+        feature_names=[f"PC{i + 1}" for i in range(k)]))
+    return report, model
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
@@ -230,37 +247,41 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     timings = {"load": time.perf_counter() - started}
 
     t0 = time.perf_counter()
-    train_rows, _ = holdout_rows(raw.n, cfg.test_fraction, cfg.seed)  # as split() draws them
-    data = encode_categoricals(raw, cfg.resolved_encoding(), train_rows)
-    summary = _summary(data, len(train_rows), raw.rejected_rows)
-    del raw  # its parsed tokens pin ~400 MB of heap on a 250k-row KDD99 file
+    parsed = _parsed_summary(raw)
+    halves = list(split(raw, cfg.test_fraction, cfg.seed))
+    del raw  # the splits hold copies of its rows
+    if halves[0].n < 2:
+        raise DataError(f"the training split holds {halves[0].n} of {parsed['n_rows']} rows; "
+                        "fitting needs at least 2 (use a smaller --test-fraction or more rows)")
+    timings["split"] = time.perf_counter() - t0
+    return _run_split(cfg, parsed, halves, timings, started)
+
+
+def _run_split(cfg: ExperimentConfig, parsed: dict, halves: list[RawDataset],
+               timings: dict[str, float], started: float) -> RunRecord:
+    """The post-split pipeline shared by the holdout and k-fold paths: encode, fit on train,
+    evaluate on test, and add each stage's seconds to ``timings`` ("total" counts from
+    ``started``). ``halves`` = [train, test] parsed rows is emptied here, and each stage
+    replaces each split in it, so every matrix goes after its last use."""
+    t0 = time.perf_counter()
+    encoder = CategoricalEncoder(cfg.resolved_encoding()).fit(halves[0])
+    _replace_each(halves, lambda raw: encode_categoricals(raw, encoder))
+    summary = _summary(parsed, *halves)
     timings["encode"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    halves = list(split(data, cfg.test_fraction, cfg.seed))
-    del data
-    timings["split"] = time.perf_counter() - t0
-    return _run_split(cfg, summary, halves, timings, started)
-
-
-def _run_split(cfg: ExperimentConfig, summary: dict, halves: list[Dataset],
-               timings: dict[str, float], started: float) -> RunRecord:
-    """The post-split pipeline shared by the holdout and k-fold paths: fit on train, evaluate
-    on test, and add each stage's seconds to ``timings`` ("total" counts from ``started``).
-    ``halves`` = [train, test] is emptied here, so each split matrix goes after its last use."""
-    train, test = halves
-    halves.clear()
-    t0 = time.perf_counter()
-    standardizer = preprocess.fit_standardizer(train.features)
-    train = dataclasses.replace(train, features=preprocess.transform(standardizer, train.features))
-    test = dataclasses.replace(test, features=preprocess.transform(standardizer, test.features))
+    standardizer = preprocess.fit_standardizer(halves[0].features)
+    _replace_each(halves, lambda d: dataclasses.replace(
+        d, features=preprocess.transform(standardizer, d.features)))
     timings["standardize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    train, test, selector_report, selector_obj = _select_stage(cfg, train, test)
+    selector_report, selector_obj = _select_stage(cfg, halves)
     timings["select"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    train, test = halves
+    halves.clear()
     class_names, selected_names = list(train.class_names), list(train.feature_names)
     if cfg.classifier == "rf":
         model = forest_mod.train_forest_xy(train.features, train.labels, len(class_names),
@@ -443,19 +464,19 @@ def run_kfold(cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"{folds} folds need at least {folds} rows, the data has {raw.n}")
     perm = np.random.default_rng(cfg.seed).permutation(raw.n)
     bounds = np.linspace(0, raw.n, folds + 1).astype(int)
+    fewest = raw.n - int(np.diff(bounds).max())  # training rows beside the largest fold
+    if fewest < 2:
+        raise DataError(f"a training fold holds {fewest} of {raw.n} rows; "
+                        "fitting needs at least 2 (use more --folds or more rows)")
+    parsed = _parsed_summary(raw)
     accuracies, macro_f1s = [], []
     for f in range(folds):
         t0 = time.perf_counter()
         test_rows = np.sort(perm[bounds[f]:bounds[f + 1]])
         train_rows = np.sort(np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]]))
-        data = encode_categoricals(raw, cfg.resolved_encoding(), train_rows)
-        summary = _summary(data, len(train_rows), raw.rejected_rows)
-        timings = {"load": load_s, "encode": time.perf_counter() - t0}
-        t1 = time.perf_counter()
-        halves = [data.take(train_rows), data.take(test_rows)]
-        del data
-        timings["split"] = time.perf_counter() - t1
-        rec = _run_split(cfg, summary, halves, timings, t0 - load_s)
+        halves = [raw.take(train_rows), raw.take(test_rows)]
+        timings = {"load": load_s, "split": time.perf_counter() - t0}
+        rec = _run_split(cfg, parsed, halves, timings, t0 - load_s)
         accuracies.append(rec.evaluation.accuracy)
         macro_f1s.append(rec.evaluation.macro_f1)
     return {

@@ -214,6 +214,22 @@ def test_run_more_folds_than_rows_exits_2(capsys):
     assert "500 folds need at least 500 rows, the data has 200" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,flags,message", [
+    (2, [], "the training split holds 1 of 2 rows"),
+    (2, ["--test-fraction", "0.5"], "the training split holds 1 of 2 rows"),
+    (2, ["--folds", "2"], "a training fold holds 1 of 2 rows"),
+    (3, ["--folds", "2"], "a training fold holds 1 of 3 rows"),
+])
+def test_run_with_one_training_row_exits_3_naming_the_split(tmp_path, capsys, rows, flags, message):
+    path = tmp_path / "tiny.csv"
+    path.write_text("f0,f1,label\n" + "".join(f"{i}.5,{i}.25,{'ab'[i % 2]}\n" for i in range(rows)))
+    code = main(["run", "--schema", "synthetic", "--data", str(path)] + flags)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert message in err and "fitting needs at least 2" in err
+    assert ("--folds" if "--folds" in flags else "--test-fraction") in err
+
+
 def test_compare_rejects_folds_line(tmp_path, capsys):
     line = "--schema synthetic --synth n=200,inf=2,noise=1,classes=2,sep=10,seed=5 --folds 3"
     config = tmp_path / "experiments.txt"

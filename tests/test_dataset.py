@@ -411,16 +411,16 @@ def test_ordinal_unseen_token_gets_reserved_code(tmp_path):
 def test_fit_rows_vocabulary_sends_other_tokens_to_unknown(tmp_path):
     schema, rows = _token_raw(["TCP", "UDP", "ICMP"])
     raw = load_csv(_write(tmp_path, "ug.csv", "\n".join(rows) + "\n"), schema)
-    fit_rows = np.array([0, 1])
+    fit_on = raw.take(np.array([0, 1]))
 
-    d = encode_categoricals(raw, "onehot", fit_rows)
+    d = encode_categoricals(raw, CategoricalEncoder("onehot").fit(fit_on))
     cols = [i for i, n in enumerate(d.feature_names) if n.startswith("protocol=")]
     assert [d.feature_names[i] for i in cols] == [
         "protocol=TCP", "protocol=UDP", "protocol=__unknown__"]
     assert d.features[:, cols].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert d.encoding_map["protocol"]["occurrences"] == {"TCP": 1, "UDP": 1}
 
-    d = encode_categoricals(raw, "ordinal", fit_rows)
+    d = encode_categoricals(raw, CategoricalEncoder("ordinal").fit(fit_on))
     assert d.features[:, d.feature_names.index("protocol")].tolist() == [0.0, 1.0, 2.0]
     assert d.encoding_map["protocol"]["unknown_code"] == 2
 

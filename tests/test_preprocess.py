@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from cyclonids import preprocess
 from cyclonids.errors import DataError
 from cyclonids.preprocess import fit_standardizer, transform
 
@@ -66,6 +69,26 @@ def test_affine_equivariance(a, b, seed):
     scaled = a * y + b
     out = transform(fit_standardizer(scaled), scaled)
     assert np.all(np.abs(out - base) < 1e-9)
+
+
+@st.composite
+def _matrices(draw):
+    """A float matrix, C- or Fortran-ordered, some of whose columns are constant."""
+    n, p = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    m = draw(hnp.arrays(np.float64, (n, p), elements=st.floats(-1e6, 1e6)))
+    for j in draw(st.sets(st.integers(0, p - 1))):
+        m[:, j] = m[0, j]
+    return np.asfortranarray(m) if draw(st.booleans()) else m
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_matrices(), block=st.integers(1, 9))
+def test_blocked_fit_matches_numpy_std_bit_for_bit(m, block):
+    with mock.patch.object(preprocess, "_BLOCK_ROWS", block):
+        s = fit_standardizer(m)
+    assert np.array_equal(s.means, m.mean(axis=0))
+    assert np.array_equal(s.zero_variance_flags, (m == m[0]).all(axis=0))
+    assert np.array_equal(s.stds, np.where(s.zero_variance_flags, 1.0, m.std(axis=0, ddof=1)))
 
 
 def test_dimension_mismatch():

@@ -3,6 +3,7 @@ import json
 import os
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from cyclonids import forest as forest_mod
 from cyclonids import pca as pca_mod
 from cyclonids import preprocess
 from cyclonids.boruta import BorutaConfig
-from cyclonids.dataset import holdout_rows, split, write_csv
+from cyclonids.dataset import (CATEGORICAL, CategoricalEncoder, encode_categoricals, holdout_rows,
+                               kdd99_schema, load_csv, split, write_csv)
 from cyclonids.errors import ConfigError
 from cyclonids.forest import ForestConfig
 from cyclonids.runner import (ExperimentConfig, compare_datasets, comparison_csv, emit_reports,
@@ -65,15 +67,18 @@ def test_encoding_is_timed_apart_from_loading(monkeypatch):
     from cyclonids import runner
 
     encode = runner.encode_categoricals
+    calls = []
 
     def slow_encode(*args, **kwargs):
-        time.sleep(0.3)
+        calls.append(args[0].n)
+        time.sleep(0.15)
         return encode(*args, **kwargs)
 
     monkeypatch.setattr(runner, "encode_categoricals", slow_encode)
     rec = run_experiment(_cfg())
-    assert list(rec.timings)[:3] == ["load", "encode", "split"]
-    assert rec.timings["encode"] >= 0.3 > rec.timings["load"]
+    assert calls == [rec.dataset_summary["n_train"], rec.dataset_summary["n_test"]]
+    assert list(rec.timings)[:3] == ["load", "split", "encode"]
+    assert rec.timings["encode"] >= 0.3 > max(rec.timings["load"], rec.timings["split"])
 
 
 @pytest.mark.parametrize("selector", ["none", "boruta", "pca"])
@@ -261,6 +266,29 @@ def test_kfold_summary():
     assert 0.9 <= summary["accuracy_mean"] <= 1.0
 
 
+_PARENT_KFOLD = {  # (accuracy, macro F1) per fold, as recorded when each fold was encoded whole
+    "none": ([0.8743718592964824, 0.9899497487437185, 0.455],
+             [0.5243770250974793, 0.594, 0.2705768921741925]),
+    "pca": ([0.5376884422110553, 0.5326633165829145, 0.535],
+            [0.28900567634461194, 0.3116991488926845, 0.3213776326739645]),
+    "synthetic": ([0.6266666666666667, 0.6666666666666666, 0.76, 0.8],
+                  [0.5692307692307693, 0.6030563243677998, 0.6996983408748113, 0.7202060931899642]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARENT_KFOLD))
+def test_kfold_per_fold_scores_are_pinned(tmp_path, case):
+    if case == "synthetic":
+        cfg = _cfg(synth=SynthConfig(300, 2, 3, 3, 1.5, seed=5), folds=4, classifier="svm")
+    else:  # ordinal encoding for none+rf, one-hot for pca+rf
+        path = str(tmp_path / "kdd.csv")
+        _write_kdd_like(path, 600, malformed=(5, 321), n_services=40, seed=4)
+        cfg = _kdd_cfg(path, case)
+        cfg.folds = 3
+    summary = run_kfold(cfg)
+    assert (summary["accuracy_per_fold"], summary["macro_f1_per_fold"]) == _PARENT_KFOLD[case]
+
+
 def test_kfold_needs_folds_in_the_config():
     with pytest.raises(ConfigError, match="folds"):
         run_kfold(_cfg())
@@ -381,6 +409,40 @@ def _kdd_cfg(path, selector):
                                  seed=42)
 
 
+def _encode_whole_file(raw, strategy, train_rows):
+    """Every row of ``raw`` encoded with the vocabulary of ``train_rows`` alone: what a run
+    did before it split the parsed rows first."""
+    encoder = CategoricalEncoder(strategy).fit(raw)
+    encoder.occurrences = {col.name: dict(Counter(values[train_rows]))
+                           for col, values in zip(raw.schema.feature_columns(), raw.columns)
+                           if col.kind == CATEGORICAL}
+    return encoder.transform(raw)
+
+
+@pytest.mark.parametrize("strategy", ["onehot", "ordinal"])
+def test_each_split_encodes_as_the_whole_file_did(tmp_path, strategy):
+    path = tmp_path / "kdd.csv"
+    _write_kdd_like(str(path), 300)
+    lines = path.read_text().splitlines()
+    train_rows, test_rows = holdout_rows(len(lines), 0.2, 42)
+    fields = lines[test_rows[0]].split(",")
+    fields[2] = "gopher"  # a service token that only a test row has
+    lines[test_rows[0]] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    raw = load_csv(str(path), kdd99_schema())
+
+    whole = _encode_whole_file(raw, strategy, train_rows)
+    pair = split(raw, 0.2, 42)
+    encoder = CategoricalEncoder(strategy).fit(pair.train)
+    for part, rows in ((pair.train, train_rows), (pair.test, test_rows)):
+        mine, reference = encode_categoricals(part, encoder), whole.take(rows)
+        assert mine.features.tobytes() == reference.features.tobytes()
+        assert np.array_equal(mine.labels, reference.labels)
+        assert mine.feature_names == reference.feature_names
+        assert mine.encoding_map == reference.encoding_map
+    assert "gopher" not in whole.encoding_map["service"]["occurrences"]
+
+
 def test_report_lists_rejected_rows(tmp_path):
     path = str(tmp_path / "kdd.csv")
     _write_kdd_like(path, 200, malformed=(3, 150))
@@ -402,8 +464,32 @@ def test_pca_run_holds_each_feature_matrix_only_until_its_last_use(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The peak, about 2.1 encoded matrices, comes while split copies the
-    # encoded matrix into its two halves; later stages stay below it, fit_pca's
-    # centred copy of the standardized train split included.
+    # No matrix of all rows is built: each split is encoded on its own. At
+    # this 80/20 split the standardize and select stages reach about 1.9
+    # encoded matrices (the training split and its next copy, beside the test
+    # split), and the forest's fixed-size split-search buffers take training
+    # to about 2.0.
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
     assert peak < 2.5 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
+
+
+def test_even_split_pca_run_peaks_below_two_encoded_matrices(tmp_path):
+    path = str(tmp_path / "kdd.csv")
+    _write_kdd_like(path, 8000)
+    cfg = _kdd_cfg(path, "pca")
+    cfg.test_fraction = 0.5
+    tracemalloc.start()
+    try:
+        rec = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Encoding all rows and then splitting them held two encoded matrices at
+    # once (about 2.1), and holding both standardized splits beside both
+    # projections about 1.96. Encoding each split on its own and dropping each
+    # standardized split once its projection exists peak at about 1.6: three
+    # half-matrices, in the standardize stage. With fewer rows the forest's
+    # fixed-size split-search buffers, not the matrices, would set the peak.
+    assert rec.selector_report["components_retained"] > 0.8 * rec.dataset_summary["n_features"]
+    matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
+    assert peak < 1.75 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
