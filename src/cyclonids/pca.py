@@ -1,6 +1,7 @@
 """Principal component analysis of the rows it is given.
 
-Fit eigendecomposes the sample covariance of its input; ``transform``
+Fit eigendecomposes the sample covariance of its input, summed over blocks
+of rows so that no centred copy of the input is made; ``transform``
 projects rows onto the leading components. Both take rows that are already
 standardized: the runner fits the run's only standardizer and applies it
 before selection, whatever the selector. Components are sorted by descending
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .preprocess import _BLOCK_ROWS
 
 _EIG_CLAMP = -1e-10
 
@@ -41,10 +43,18 @@ def fit_pca(x: np.ndarray) -> PCAModel:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise DataError(f"need a 2-D matrix with at least 2 rows, got shape {x.shape}")
-    # np.cov's arithmetic, with one centred copy of the input.
-    x = x - x.mean(axis=0)
-    cov = x.T @ x
-    cov *= np.true_divide(1, x.shape[0] - 1)
+    # np.cov's centred cross-products, summed a block of rows at a time in one
+    # buffer, so no centred copy of the input exists. The blocked sum rounds
+    # differently from one product: about 1e-15 relative.
+    n, p = x.shape
+    mean = x.mean(axis=0)
+    cov = np.zeros((p, p))
+    buffer = np.empty((min(n, _BLOCK_ROWS), p))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = x[start:start + _BLOCK_ROWS]
+        block = np.subtract(rows, mean, out=buffer[:len(rows)])
+        cov += block.T @ block
+    cov *= np.true_divide(1, n - 1)
 
     eigenvalues, vectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 
-_BLOCK_ROWS = 4096  # rows of squared deviations held at once by fit_standardizer
+_BLOCK_ROWS = 4096  # rows of deviations held at once by fit_standardizer and pca.fit_pca
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,16 @@ def fit_standardizer(m: np.ndarray) -> Standardizer:
     return Standardizer(means=means, stds=stds, zero_variance_flags=flags)
 
 
-def transform(s: Standardizer, m: np.ndarray) -> np.ndarray:
+def transform(s: Standardizer, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(m - means) / stds`` with the constant columns zeroed, in a new matrix or in ``out``.
+
+    ``out=m`` standardizes a writeable float64 ``m`` in place: the same
+    elementwise operations, so the same bits, without a second matrix.
+    """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != s.p:
         raise DataError(f"matrix has {m.shape[1] if m.ndim == 2 else '?'} columns, standardizer expects {s.p}")
-    out = m - s.means
+    out = np.subtract(m, s.means, out=out)
     out /= s.stds
     if s.zero_variance_flags.any():
         out[:, s.zero_variance_flags] = 0.0

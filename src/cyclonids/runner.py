@@ -1,18 +1,20 @@
 """End-to-end experiment orchestration.
 
 Pipeline order is fixed: load (one ``load_csv`` pass over the input file,
-or the generated ``--synth`` rows) -> split the parsed rows -> encode each
-split (vocabulary from the training split only) -> standardize, select
-features and train the classifier (each fitted on the training split only)
--> evaluate on the held-out split. No feature matrix of the whole input is
-ever built: each split is encoded into its own matrix, and each matrix goes
-after its last use. The runner fits the run's only standardizer, whatever
-the selector, and the selector and the classifier see only standardized
-rows. No statistic of the test split ever reaches a fitted component, and
-every random stage is seeded, so a config reproduces its report bit for bit
-apart from wall-clock timings. k-fold runs the same post-split pipeline per
-fold, refitting everything, the encoder included, on that fold's training
-rows.
+or the generated ``--synth`` rows) -> split the parsed rows -> a fit pass
+over the training split, then an apply pass over the test split. The fit
+pass encodes the training rows (vocabulary from them only), fits the
+standardizer, the selector and the classifier on them in that order, and
+drops the training matrix; the apply pass encodes the test rows and runs
+them through the fitted stages to predictions and evaluation. No feature
+matrix of the whole input is ever built, each split is standardized in
+place, and each matrix goes after its last use. The runner fits the run's
+only standardizer, whatever the selector, and the selector and the
+classifier see only standardized rows. No statistic of the test split ever
+reaches a fitted component, and every random stage is seeded, so a config
+reproduces its report bit for bit apart from wall-clock timings. k-fold
+runs the same post-split pipeline per fold, refitting everything, the
+encoder included, on that fold's training rows.
 """
 
 from __future__ import annotations
@@ -94,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError(f"schema '{self.schema}' requires a data file")
         if self.folds is not None and self.folds < 2:
             raise ConfigError("folds must be >= 2")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.boruta is None or self.forest is None or self.svm is None:
             raise ConfigError("sub-configs missing; build configs with ExperimentConfig.make")
 
@@ -159,14 +165,14 @@ def _parsed_summary(raw: RawDataset) -> dict:
     }
 
 
-def _summary(parsed: dict, train: Dataset, test: Dataset) -> dict:
-    """The report's dataset section: ``parsed`` plus the encoded splits' sizes and the
-    training split's vocabulary."""
+def _summary(parsed: dict, train: Dataset, n_test: int) -> dict:
+    """The report's dataset section: ``parsed`` plus the split sizes, the encoded width and
+    the training split's vocabulary."""
     return {
         **parsed,
         "n_features": train.p,
         "n_train": train.n,
-        "n_test": test.n,
+        "n_test": n_test,
         # training-row token frequencies per categorical column (top 20), so
         # salience rankings can be compared against plain occurrence counts
         "categorical_occurrences": {
@@ -176,25 +182,27 @@ def _summary(parsed: dict, train: Dataset, test: Dataset) -> dict:
     }
 
 
-def _replace_each(halves: list, fn) -> None:
-    """``halves[i] = fn(halves[i])`` for each split, so each input goes as soon as its output exists."""
-    for i in range(len(halves)):
-        halves[i] = fn(halves[i])
+def _standardized(standardizer: preprocess.Standardizer, d: Dataset) -> Dataset:
+    """``d`` standardized in its own matrix. An encoded split is held by the run alone, so
+    nothing else sees the matrix change; the new Dataset checks it and marks it read-only."""
+    m = d.features
+    m.setflags(write=True)
+    return dataclasses.replace(d, features=preprocess.transform(standardizer, m, out=m))
 
 
-def _select_stage(cfg: ExperimentConfig, halves: list[Dataset]):
-    """Fit the selector on the training split only and apply it to both splits.
+def _select_stage(cfg: ExperimentConfig, train: Dataset):
+    """Fit the selector on the standardized training split.
 
-    Each split in ``halves`` = [train, test] is replaced by its selected or
-    projected copy. Returns (selector report dict, fitted selector object or
-    None).
+    Returns (selector report dict, fitted selector object or None, the
+    function that maps a standardized split to its selected or projected
+    copy).
     """
-    names = list(halves[0].feature_names)
+    names = list(train.feature_names)
     if cfg.selector == "none":
-        return {"type": "none", "n_features": len(names)}, None
+        return {"type": "none", "n_features": len(names)}, None, lambda d: d
 
     if cfg.selector == "boruta":
-        result = boruta_mod.run_boruta(halves[0], cfg.boruta)
+        result = boruta_mod.run_boruta(train, cfg.boruta)
         selected = result.selected_indices()
         fallback = None
         if not selected:
@@ -218,11 +226,11 @@ def _select_stage(cfg: ExperimentConfig, halves: list[Dataset]):
             "final_mzs": result.z_history[-1][1],
             "fallback": fallback,
         }
-        _replace_each(halves, lambda d: dataclasses.replace(
-            d, features=d.features[:, selected], feature_names=[names[i] for i in selected]))
-        return report, result
+        kept = [names[i] for i in selected]
+        return report, result, lambda d: dataclasses.replace(
+            d, features=d.features[:, selected], feature_names=list(kept))
 
-    model = pca_mod.fit_pca(halves[0].features)
+    model = pca_mod.fit_pca(train.features)
     k = pca_mod.select_components(model, cfg.pca_threshold)
     salience = pca_mod.feature_salience(model)
     report = {
@@ -233,10 +241,9 @@ def _select_stage(cfg: ExperimentConfig, halves: list[Dataset]):
         "explained_variance_ratio": [float(r) for r in model.explained_variance_ratio],
         "salience": [{"feature": names[idx], "score": score} for idx, score in salience],
     }
-    _replace_each(halves, lambda d: dataclasses.replace(
-        d, features=pca_mod.transform(model, d.features, k),
-        feature_names=[f"PC{i + 1}" for i in range(k)]))
-    return report, model
+    components = [f"PC{i + 1}" for i in range(k)]
+    return report, model, lambda d: dataclasses.replace(
+        d, features=pca_mod.transform(model, d.features, k), feature_names=list(components))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
@@ -259,29 +266,33 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 
 def _run_split(cfg: ExperimentConfig, parsed: dict, halves: list[RawDataset],
                timings: dict[str, float], started: float) -> RunRecord:
-    """The post-split pipeline shared by the holdout and k-fold paths: encode, fit on train,
-    evaluate on test, and add each stage's seconds to ``timings`` ("total" counts from
-    ``started``). ``halves`` = [train, test] parsed rows is emptied here, and each stage
-    replaces each split in it, so every matrix goes after its last use."""
+    """The post-split pipeline shared by the holdout and k-fold paths: a fit pass over the
+    training rows, then an apply pass over the test rows. Each stage's seconds go to
+    ``timings``, the two passes' parts of ``encode``, ``standardize`` and ``select`` summed
+    ("total" counts from ``started``).
+
+    ``halves`` = [train, test] parsed rows. Each pass pops its split's rows, so the
+    caller's list keeps neither alive once it is encoded, and the training matrix goes
+    before the test rows are encoded: at most one split's matrix exists at a time."""
     t0 = time.perf_counter()
-    encoder = CategoricalEncoder(cfg.resolved_encoding()).fit(halves[0])
-    _replace_each(halves, lambda raw: encode_categoricals(raw, encoder))
-    summary = _summary(parsed, *halves)
+    raw = halves.pop(0)
+    encoder = CategoricalEncoder(cfg.resolved_encoding()).fit(raw)
+    train = encode_categoricals(raw, encoder)
+    del raw
+    summary = _summary(parsed, train, halves[0].n)
     timings["encode"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    standardizer = preprocess.fit_standardizer(halves[0].features)
-    _replace_each(halves, lambda d: dataclasses.replace(
-        d, features=preprocess.transform(standardizer, d.features)))
+    standardizer = preprocess.fit_standardizer(train.features)
+    train = _standardized(standardizer, train)
     timings["standardize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    selector_report, selector_obj = _select_stage(cfg, halves)
+    selector_report, selector_obj, select = _select_stage(cfg, train)
+    train = select(train)
     timings["select"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    train, test = halves
-    halves.clear()
     class_names, selected_names = list(train.class_names), list(train.feature_names)
     if cfg.classifier == "rf":
         model = forest_mod.train_forest_xy(train.features, train.labels, len(class_names),
@@ -294,6 +305,18 @@ def _run_split(cfg: ExperimentConfig, parsed: dict, halves: list[RawDataset],
         classifier_report = model.solves
     del train
     timings["train"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    test = encode_categoricals(halves.pop(), encoder)
+    timings["encode"] += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    test = _standardized(standardizer, test)
+    timings["standardize"] += time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    test = select(test)
+    timings["select"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     predicted = predict(test.features)

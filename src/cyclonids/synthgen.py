@@ -37,6 +37,8 @@ class SynthConfig:
         if self.n_samples < self.n_classes * 10:
             raise ConfigError(
                 f"n_samples must be >= 10 per class ({self.n_classes * 10}), got {self.n_samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def gen_classification(cfg: SynthConfig) -> tuple[Dataset, set[int]]:

@@ -71,3 +71,16 @@ def test_report_and_component_digests_are_counted_apart():
     assert bench_pairs._equal_digests(pairs, bench_pairs._components) == 3
     assert bench_pairs._equal_digests([_digest_pair({}, {bench_pairs.REPORT: "r1"})],
                                       bench_pairs._report) == 0
+
+
+def test_equal_digests_are_counted_per_name():
+    base = {"standardizer": "z1", "selector": "s1", "classifier": "c1", bench_pairs.REPORT: "r1"}
+    pairs = [
+        _digest_pair(base, dict(base)),
+        _digest_pair(base, {**base, "selector": "s2", "classifier": "c2", bench_pairs.REPORT: "r2"}),
+        _digest_pair(base, {"standardizer": "z1"}),  # head printed only one digest
+        _digest_pair({}, {}),  # a failed run on both sides
+    ]
+    assert bench_pairs._equal_by_name(pairs) == {"classifier": 1, "selector": 1, "standardizer": 3,
+                                                  bench_pairs.REPORT: 1}
+    assert bench_pairs._equal_by_name([]) == {}

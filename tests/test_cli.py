@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cyclonids.cli import main, parse_synth_spec
@@ -273,3 +274,55 @@ def test_compare_rejects_out_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--out is not allowed" in err and line in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--seed", "-1"], "seed must be non-negative, got -1"),
+    (["--seed", "-1", "--folds", "2"], "seed must be non-negative, got -1"),
+    (["--test-fraction", "0"], "test_fraction must be in (0, 1), got 0.0"),
+    (["--test-fraction", "1.5"], "test_fraction must be in (0, 1), got 1.5"),
+    (["--test-fraction", "nan"], "test_fraction must be in (0, 1), got nan"),
+])
+def test_run_bad_seed_or_test_fraction_exits_2_before_loading(tmp_path, capsys, monkeypatch,
+                                                              flags, message):
+    from cyclonids import runner
+
+    path = tmp_path / "data.csv"
+    path.write_text("".join(_kdd_line(label) + "\n" for label in ["neptune.", "normal."] * 4))
+    load, loads = runner.load_csv, []
+
+    def counting_load(*args):
+        loads.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(runner, "load_csv", counting_load)
+    code = main(["run", "--schema", "kdd99", "--data", str(path)] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert loads == []
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_negative_synth_seed_exits_2(tmp_path, capsys, command):
+    spec = "n=200,inf=2,noise=1,classes=2,sep=10,seed=-1"
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        parse_synth_spec(spec)
+    out = tmp_path / "s.csv"
+    argv = ["run", "--schema", "synthetic"] if command == "run" else ["gen", "--out", str(out)]
+    assert main(argv + ["--synth", spec]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_whose_training_column_sum_overflows_exits_3(tmp_path, capsys):
+    # Every value is finite, but the training split's f0 column sums past the
+    # largest double: the standardized matrix holds NaN, and the run must say so.
+    rows = [f"{(1e308, 1e308, -1e308)[i % 3]!r},{0.5 * i!r},{'ab'[i % 2]}" for i in range(40)]
+    path = tmp_path / "huge.csv"
+    path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+    with np.errstate(all="ignore"):
+        code = main(["run", "--schema", "synthetic", "--data", str(path), "--selector", "pca"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "feature matrix contains NaN or infinite entries" in err and "Traceback" not in err

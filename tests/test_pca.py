@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclonids.errors import ConfigError, DataError
-from cyclonids.pca import PCAModel, feature_salience, fit_pca, select_components, transform
+from cyclonids.pca import _BLOCK_ROWS, PCAModel, feature_salience, fit_pca, select_components, transform
 from cyclonids.preprocess import fit_standardizer
 from cyclonids.preprocess import transform as standardize
 from oracles import power_iteration_eigenvalues
@@ -181,3 +181,26 @@ def test_fit_holds_one_centred_copy_of_its_input():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * m.nbytes, f"peak {peak / m.nbytes:.2f} x the input"
+
+
+@pytest.mark.parametrize("n", [300, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 37])
+def test_blocked_covariance_matches_numpy_cov(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 12)) * np.linspace(0.1, 30.0, 12) + np.linspace(-5.0, 40.0, 12)
+    x[:, 3] = 2.0 * x[:, 1] - x[:, 7]  # one exact linear dependency
+    model = fit_pca(x)
+    cov = (model.loadings * model.eigenvalues) @ model.loadings.T
+    reference = np.cov(x, rowvar=False)
+    assert np.abs(cov - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_fit_holds_no_centred_copy_of_its_input():
+    # One block of centred rows at a time: 4096 of 20,000 rows is 0.2 x the input.
+    m = _z(np.random.default_rng(21).standard_normal((20000, 50)))
+    tracemalloc.start()
+    try:
+        fit_pca(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * m.nbytes, f"peak {peak / m.nbytes:.2f} x the input"

@@ -91,6 +91,21 @@ def test_blocked_fit_matches_numpy_std_bit_for_bit(m, block):
     assert np.array_equal(s.stds, np.where(s.zero_variance_flags, 1.0, m.std(axis=0, ddof=1)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(m=_matrices())
+def test_in_place_transform_matches_a_new_matrix_bit_for_bit(m):
+    s = fit_standardizer(m)
+    with np.errstate(all="ignore"):  # a column of subnormals can have a std of 0
+        reference = m - s.means
+        reference /= s.stds
+        reference[:, s.zero_variance_flags] = 0.0
+        target = m.copy(order="A")
+        out = transform(s, target, out=target)
+        fresh = transform(s, m)
+    assert out is target
+    assert out.tobytes() == reference.tobytes() == fresh.tobytes()
+
+
 def test_dimension_mismatch():
     s = fit_standardizer(np.zeros((3, 2)) + np.arange(3)[:, None])
     with pytest.raises(DataError):

@@ -81,6 +81,29 @@ def test_encoding_is_timed_apart_from_loading(monkeypatch):
     assert rec.timings["encode"] >= 0.3 > max(rec.timings["load"], rec.timings["split"])
 
 
+@pytest.mark.parametrize("selector,classifier", [("none", "rf"), ("boruta", "rf"), ("pca", "svm")])
+def test_each_split_is_encoded_once_and_the_test_split_after_training(monkeypatch, selector, classifier):
+    from cyclonids import runner, svm as svm_mod
+
+    events = []
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            events.append((name, args[0].n) if name == "encode" else (name,))
+            return result
+        return call
+
+    monkeypatch.setattr(runner, "encode_categoricals", logged("encode", runner.encode_categoricals))
+    monkeypatch.setattr(forest_mod, "train_forest_xy", logged("train", forest_mod.train_forest_xy))
+    monkeypatch.setattr(svm_mod, "train_svm", logged("train", svm_mod.train_svm))
+    monkeypatch.setattr(forest_mod, "predict", logged("predict", forest_mod.predict))
+    monkeypatch.setattr(svm_mod, "predict", logged("predict", svm_mod.predict))
+    rec = run_experiment(_cfg(selector=selector, classifier=classifier))
+    n_train, n_test = rec.dataset_summary["n_train"], rec.dataset_summary["n_test"]
+    assert events == [("encode", n_train), ("train",), ("encode", n_test), ("predict",)]
+
+
 @pytest.mark.parametrize("selector", ["none", "boruta", "pca"])
 def test_one_standardizer_per_run_applied_to_raw_rows(monkeypatch, selector):
     fit, transform = preprocess.fit_standardizer, preprocess.transform
@@ -90,7 +113,7 @@ def test_one_standardizer_per_run_applied_to_raw_rows(monkeypatch, selector):
         fits.append(m.shape)
         return fit(m)
 
-    def checking_transform(s, m):
+    def checking_transform(s, m, out=None):
         restandardized.append(any(np.shares_memory(m, out) for out in outputs))
         outputs.append(transform(s, m))
         return outputs[-1]
@@ -493,3 +516,25 @@ def test_even_split_pca_run_peaks_below_two_encoded_matrices(tmp_path):
     assert rec.selector_report["components_retained"] > 0.8 * rec.dataset_summary["n_features"]
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
     assert peak < 1.75 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
+
+
+def test_even_split_pca_run_holds_one_split_matrix_at_a_time(tmp_path):
+    path = str(tmp_path / "kdd.csv")
+    _write_kdd_like(path, 8000)
+    cfg = _kdd_cfg(path, "pca")
+    cfg.test_fraction = 0.5
+    tracemalloc.start()
+    try:
+        rec = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The training split is fitted and dropped before the test rows are
+    # encoded, each split is standardized in place, and PCA sums its
+    # covariance a block of rows at a time. The peak, about 1.26, is the
+    # standardized training split (0.5) beside the test split's parsed rows,
+    # plus one covariance block: here the block is the whole 4,000-row split.
+    # Copying each split to standardize it, and centring it for PCA, read 1.58.
+    assert rec.selector_report["components_retained"] > 0.8 * rec.dataset_summary["n_features"]
+    matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
+    assert peak < 1.4 * matrix, f"peak {peak / matrix:.2f} encoded matrices"

@@ -11,7 +11,9 @@ won and the ``gain`` and ``worse_than_bound`` flags (see ``_summary``), plus
 the machine: CPU count, Python and numpy versions. Per workload it
 also counts the pairs whose component digests (every digest but the
 report's) are equal on both sides, the pairs whose "report (no timings)"
-digests are equal, and each side's failed and attempted runs.
+digests are equal, the same count for each digest name on its own (so a
+change that moves one component on purpose shows which), and each side's
+failed and attempted runs.
 
 ``runner.strip_timings`` zeroes timing values but keeps their keys, so a
 stage that is newly timed on its own moves the report digest even when
@@ -94,6 +96,12 @@ def _equal_digests(pairs: list[dict], pick) -> int:
     return sum(bool(pick(p["base"])) and pick(p["base"]) == pick(p["head"]) for p in pairs)
 
 
+def _equal_by_name(pairs: list[dict]) -> dict[str, int]:
+    """Per digest name printed by either side, the pairs whose digests of that name are equal."""
+    names = sorted({name for p in pairs for side in ("base", "head") for name in p[side]["digests"]})
+    return {name: _equal_digests(pairs, lambda run: run["digests"].get(name)) for name in names}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -130,6 +138,7 @@ def main(argv: list[str]) -> int:
                                                  _equal_digests(pairs, _components),
                                              "report_digests_equal":
                                                  _equal_digests(pairs, _report),
+                                             "digests_equal_by_name": _equal_by_name(pairs),
                                              "pairs": pairs}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as handle:
