@@ -6,7 +6,7 @@ byte-identical and easy to diff.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 _WIDTH = 640
 _BAR_AREA_HEIGHT = 320
@@ -31,7 +31,7 @@ def bar_chart_svg(title: str, labels: list[str], values: list[float]) -> str:
         f'viewBox="0 0 {_WIDTH} {height}">',
         f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="24" font-size="16" text-anchor="middle" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        f'font-family="sans-serif">{escape(title, quote=False)}</text>',
         f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP + _BAR_AREA_HEIGHT}" '
         f'x2="{_WIDTH - 20}" y2="{_MARGIN_TOP + _BAR_AREA_HEIGHT}" stroke="black"/>',
     ]
@@ -48,7 +48,7 @@ def bar_chart_svg(title: str, labels: list[str], values: list[float]) -> str:
         ly = _MARGIN_TOP + _BAR_AREA_HEIGHT + 12
         parts.append(f'<text x="{lx:.1f}" y="{ly:.1f}" font-size="11" text-anchor="end" '
                      f'font-family="sans-serif" transform="rotate(-45 {lx:.1f} {ly:.1f})">'
-                     f'{escape(str(label))}</text>')
+                     f'{escape(str(label), quote=False)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, unreadable
+from .preprocess import _BLOCK_ROWS
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +96,15 @@ class RawDataset:
         return RawDataset(self.schema, [c[indices] for c in self.columns], self.labels[indices])
 
 
+def _finite_rows(m: np.ndarray) -> np.ndarray:
+    """Whether each row of the 2-D ``m`` is all finite, tested ``_BLOCK_ROWS`` rows at a time
+    so that no bool array the size of ``m`` is built."""
+    finite = np.empty(len(m), dtype=bool)
+    for start in range(0, len(m), _BLOCK_ROWS):
+        np.isfinite(m[start:start + _BLOCK_ROWS]).all(axis=1, out=finite[start:start + _BLOCK_ROWS])
+    return finite
+
+
 @dataclass
 class Dataset:
     """Fully numeric dataset: the unit every pipeline stage consumes.
@@ -127,7 +137,7 @@ class Dataset:
             raise DataError(f"{len(self.feature_names)} feature names for {p} columns")
         if self.labels.min() < 0 or self.labels.max() >= len(self.class_names):
             raise DataError("label index outside class_names range")
-        if not np.isfinite(self.features).all():
+        if not _finite_rows(self.features).all():
             raise DataError("feature matrix contains NaN or infinite entries")
 
     @property
@@ -326,6 +336,18 @@ class _FloatMemo(dict):
         return value
 
 
+class _Stripped(dict):
+    """Each distinct raw token's stripped ``str``, made once.
+
+    Kept rows hold these shared strings, so the csv reader's own strings
+    for a row are freed with the row.
+    """
+
+    def __missing__(self, token: str) -> str:
+        value = self[token] = token.strip()
+        return value
+
+
 def _fields(positions: list[int]):
     """Function from a row to the sequence of its fields at ``positions``."""
     return itemgetter(*positions) if len(positions) > 1 else lambda row: [row[p] for p in positions]
@@ -344,6 +366,12 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
     Rows whose numeric fields do not parse (or parse to NaN/inf) are dropped
     and their 1-based line numbers recorded in ``rejected_rows``. A wrong
     field count, an unmapped label or a byte that is not UTF-8 aborts the load.
+
+    Memory: the numeric fields of kept rows fill one float64 block, and the
+    returned numeric columns are views of it. Rows with a NaN or inf field
+    are compacted out of that block in place, ``_BLOCK_ROWS`` rows at a
+    time, so it is never copied. Categorical fields are held as one shared
+    stripped string per distinct raw token.
     """
     numbers, tokens = array("d"), []  # row-major numeric and categorical fields of kept rows
     labels, kept_lines, rejected = array("q"), array("q"), []
@@ -370,7 +398,7 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
 
             arity, label_at = schema.arity, schema.label_position
             memo = _FloatMemo()
-            parse = memo.__getitem__
+            parse, strip = memo.__getitem__, _Stripped().__getitem__
             for lineno, row in records:
                 if len(labels) == _MEMO_ROWS and 2 * len(memo) >= len(numbers):
                     parse = float  # mostly distinct strings (`gen` writes repr floats): memo only costs
@@ -398,7 +426,7 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                         rejected.append(lineno)
                         continue
                 numbers.fromlist(values)
-                tokens.extend(categorical(row))
+                tokens.extend(map(strip, categorical(row)))
                 labels.append(code)
                 kept_lines.append(lineno)
     except OSError as exc:
@@ -407,14 +435,18 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
         raise _not_utf8(path) from None
 
     block = np.frombuffer(numbers).reshape(len(labels), len(numeric_pos))
-    stripped = {t: t.strip() for t in set(tokens)}  # each distinct token stripped once
-    cats = np.fromiter(map(stripped.__getitem__, tokens), dtype=object,
-                       count=len(tokens)).reshape(len(labels), len(token_pos))
+    cats = np.fromiter(tokens, dtype=object, count=len(tokens)).reshape(len(labels), len(token_pos))
+    del tokens  # cats holds the same strings
     labels = np.asarray(labels, dtype=np.int64)
-    finite = np.isfinite(block).all(axis=1)
+    finite = _finite_rows(block)
     if not finite.all():  # float() takes nan and inf; _parse_numeric rejects them
         rejected = sorted(rejected + np.asarray(kept_lines)[~finite].tolist())
-        block, cats, labels = block[finite], cats[finite], labels[finite]
+        kept = np.flatnonzero(finite)
+        # Front to back, a kept row only moves towards the front, onto rows already read.
+        for start in range(0, len(kept), _BLOCK_ROWS):
+            rows = kept[start:start + _BLOCK_ROWS]
+            block[start:start + len(rows)] = block[rows]
+        block, cats, labels = block[:len(kept)], cats[kept], labels[kept]
     if not len(labels):
         raise DataError(f"no usable rows in {path}: all {len(rejected)} rows had unparseable "
                         "numeric fields" if rejected else f"empty file: {path}")

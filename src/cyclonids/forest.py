@@ -51,7 +51,8 @@ class ForestConfig:
     mtry: int | None = None  # default ceil(sqrt(p))
     seed: int = 0
 
-    def validate(self, p: int) -> int:
+    def validate(self) -> None:
+        """The checks that need no data; ``mtry_for`` checks mtry against the columns."""
         if self.n_trees < 1:
             raise ConfigError("n_trees must be >= 1")
         if self.min_samples_split < 2:
@@ -60,6 +61,9 @@ class ForestConfig:
             raise ConfigError("max_depth must be >= 1 or None")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+
+    def mtry_for(self, p: int) -> int:
+        """Features tried at each split of a forest grown on p columns."""
         mtry = self.mtry if self.mtry is not None else math.ceil(math.sqrt(p))
         if not 1 <= mtry <= p:
             raise ConfigError(f"mtry must be in [1, {p}], got {mtry}")
@@ -390,7 +394,8 @@ def train_forest_xy(x: np.ndarray, y: np.ndarray, n_classes: int, cfg: ForestCon
         raise DataError("feature matrix contains non-finite entries")
     if y.min() < 0 or y.max() >= n_classes:
         raise DataError(f"labels must lie in [0, {n_classes}), got range [{y.min()}, {y.max()}]")
-    mtry = cfg.validate(x.shape[1])
+    cfg.validate()
+    mtry = cfg.mtry_for(x.shape[1])
 
     ranks = _Ranks(x)
     trees = []

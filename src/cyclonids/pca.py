@@ -2,11 +2,14 @@
 
 Fit eigendecomposes the sample covariance of its input, summed over blocks
 of rows so that no centred copy of the input is made; ``transform``
-projects rows onto the leading components. Both take rows that are already
-standardized: the runner fits the run's only standardizer and applies it
-before selection, whatever the selector. Components are sorted by descending
-eigenvalue, and each loading column is sign-fixed so its largest-magnitude
-entry is non-negative, which makes results deterministic across BLAS builds.
+projects rows onto the leading components, one block of rows at a time
+into its output: a product over a whole split makes OpenBLAS start its
+worker threads, whose buffers then stay resident for the rest of the
+process. Both take rows that are already standardized: the runner fits the
+run's only standardizer and applies it before selection, whatever the
+selector. Components are sorted by descending eigenvalue, and each loading
+column is sign-fixed so its largest-magnitude entry is non-negative, which
+makes results deterministic across BLAS builds.
 """
 
 from __future__ import annotations
@@ -80,20 +83,32 @@ def fit_pca(x: np.ndarray) -> PCAModel:
 
 
 def transform(model: PCAModel, m: np.ndarray, k: int) -> np.ndarray:
-    """Project standardized rows onto the first k components."""
+    """Project standardized rows onto the first k components, ``_BLOCK_ROWS`` rows at a time.
+
+    Each output row is its input row's product with the same loadings, so
+    the blocks give the rows that one whole-matrix product would."""
     if not 1 <= k <= model.p:
         raise ConfigError(f"k must be in [1, {model.p}], got {k}")
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] != model.p:
         raise DataError(f"matrix has {m.shape[1] if m.ndim == 2 else '?'} columns, "
                         f"model expects {model.p}")
-    return m @ model.loadings[:, :k]
+    loadings = model.loadings[:, :k]
+    out = np.empty((len(m), k))
+    for start in range(0, len(m), _BLOCK_ROWS):
+        np.matmul(m[start:start + _BLOCK_ROWS], loadings, out=out[start:start + _BLOCK_ROWS])
+    return out
+
+
+def check_threshold(cumulative_threshold: float) -> None:
+    """Reject a cumulative explained-variance threshold outside (0, 1]."""
+    if not 0.0 < cumulative_threshold <= 1.0:
+        raise ConfigError(f"threshold must be in (0, 1], got {cumulative_threshold}")
 
 
 def select_components(model: PCAModel, cumulative_threshold: float) -> int:
     """Smallest k whose cumulative explained-variance ratio reaches the threshold."""
-    if not 0.0 < cumulative_threshold <= 1.0:
-        raise ConfigError(f"threshold must be in (0, 1], got {cumulative_threshold}")
+    check_threshold(cumulative_threshold)
     cumulative = np.cumsum(model.explained_variance_ratio)
     reached = np.nonzero(cumulative >= cumulative_threshold - 1e-12)[0]
     return int(reached[0]) + 1 if len(reached) else model.p

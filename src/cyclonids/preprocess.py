@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 
-_BLOCK_ROWS = 4096  # rows of deviations held at once by fit_standardizer and pca.fit_pca
+_BLOCK_ROWS = 4096  # rows a blocked loop here, in pca or in dataset works on at once
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,15 @@ def fit_standardizer(m: np.ndarray) -> Standardizer:
     # the sum so far. numpy reduces a C-contiguous matrix of two or more
     # columns over axis 0 row after row, so this is the same sum, bit for bit.
     # A single column (or another layout) it sums pairwise: one block then.
+    # Each block of deviations goes into one buffer laid out like m, as
+    # ``m - means`` would be.
     n, p = m.shape
     step = _BLOCK_ROWS if m.flags.c_contiguous and p > 1 else n
     total = np.zeros(p)
+    buffer = np.empty_like(m, shape=(min(n, step), p))
     for start in range(0, n, step):
-        block = m[start:start + step] - means
+        rows = m[start:start + step]
+        block = np.subtract(rows, means, out=buffer[:len(rows)])
         np.multiply(block, block, out=block)
         block[0] += total
         total = np.add.reduce(block, axis=0)

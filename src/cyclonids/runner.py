@@ -102,6 +102,16 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.boruta is None or self.forest is None or self.svm is None:
             raise ConfigError("sub-configs missing; build configs with ExperimentConfig.make")
+        # The sub-configs this run uses, so that a bad setting fails before the load.
+        # The forest's mtry needs the column count and is checked when the forest is grown.
+        if self.selector == "boruta":
+            self.boruta.validate()
+        elif self.selector == "pca":
+            pca_mod.check_threshold(self.pca_threshold)
+        if self.classifier == "rf":
+            self.forest.validate()
+        else:
+            self.svm.validate()
 
     def resolved_encoding(self) -> str:
         if self.encoding != "auto":
@@ -444,6 +454,8 @@ def compare_datasets(configs: list[ExperimentConfig]) -> list[dict]:
     """Run every config and tabulate one row each, sorted by accuracy descending."""
     if len(configs) < 1:
         raise ConfigError("compare needs at least one experiment config")
+    for cfg in configs:  # every config before the first load
+        cfg.validate()
     rows = []
     for cfg in configs:
         rec = run_experiment(cfg)

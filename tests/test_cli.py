@@ -22,6 +22,15 @@ def test_import_loads_neither_scipy_stats_nor_scipy_special():
     assert out.strip() == "[]"
 
 
+def test_import_loads_no_xml_http_email_or_ssl_module():
+    # xml.sax.saxutils pulls in urllib.request, http.client, ssl and email.
+    probe = ("import sys, cyclonids.runner; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('xml', 'http', 'email', 'ssl')))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_parse_synth_spec():
     cfg = parse_synth_spec("n=500,inf=3,noise=7,classes=2,sep=5,seed=1")
     assert (cfg.n_samples, cfg.n_informative, cfg.n_noise) == (500, 3, 7)
@@ -301,6 +310,44 @@ def test_run_bad_seed_or_test_fraction_exits_2_before_loading(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert loads == []
+
+
+_BAD_SUB_CONFIGS = [
+    (["--selector", "pca", "--pca-threshold", "0"], "threshold must be in (0, 1], got 0.0"),
+    (["--rf-trees", "0"], "n_trees must be >= 1"),
+    (["--rf-max-depth", "0"], "max_depth must be >= 1 or None"),
+    (["--classifier", "svm", "--svm-c", "-1"], "c must be finite and > 0, got -1.0"),
+    (["--selector", "boruta", "--boruta-alpha", "0.9"], "alpha must be in (0, 0.5], got 0.9"),
+]
+
+
+def _no_load(*args):
+    raise AssertionError("the input was loaded")
+
+
+@pytest.mark.parametrize("flags,message", _BAD_SUB_CONFIGS)
+def test_run_bad_sub_config_setting_exits_2_before_loading(tmp_path, capsys, monkeypatch,
+                                                           flags, message):
+    from cyclonids import runner
+
+    monkeypatch.setattr(runner, "load_csv", _no_load)
+    code = main(["run", "--schema", "kdd99", "--data", str(tmp_path / "data.csv")] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+
+
+def test_compare_checks_every_config_before_the_first_load(tmp_path, capsys, monkeypatch):
+    from cyclonids import runner
+
+    monkeypatch.setattr(runner, "load_csv", _no_load)
+    data = str(tmp_path / "data.csv")
+    config = tmp_path / "experiments.txt"
+    flags, message = _BAD_SUB_CONFIGS[-1]
+    config.write_text(f"--schema kdd99 --data {data}\n"
+                      f"--schema kdd99 --data {data} {' '.join(flags)}\n")
+    assert main(["compare", "--config", str(config)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "gen"])

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -528,6 +529,57 @@ def test_dataset_rejects_nonfinite():
     with pytest.raises(DataError):
         Dataset(features=np.array([[1.0, np.nan]]), labels=np.array([0]),
                 feature_names=["a", "b"], schema_id="synthetic", class_names=["c0"])
+
+
+def test_load_peak_stays_near_its_numeric_block(tmp_path):
+    # The numeric block is compacted in place when rows hold nan/inf, and kept
+    # rows share one stripped string per distinct token.
+    rng = np.random.default_rng(5)
+    values = np.array(["0", "1", "2", "0.00", "0.50", "1.00", "255", " 12 "], dtype=object)
+    tokens = [("tcp", "udp", " icmp"), ("http", "smtp", "ftp_data", " private "), ("SF", "S0", "REJ")]
+    fields = np.empty((40000, 42), dtype=object)
+    picks = rng.integers(len(values), size=(40000, 38))
+    fields[:, [0] + list(range(4, 41))] = values[picks]
+    for j, group in enumerate(tokens, start=1):
+        fields[:, j] = np.array(group, dtype=object)[rng.integers(len(group), size=40000)]
+    fields[:, 41] = np.array(["normal.", "smurf.", "neptune."], dtype=object)[rng.integers(3, size=40000)]
+    for i in range(7, 40000, 50):
+        fields[i, 4 + i % 37] = ("nan", "inf", "-inf")[i % 3]
+    path = _write(tmp_path, "kdd.csv", "".join(",".join(row) + "\n" for row in fields.tolist()))
+    tracemalloc.start()
+    try:
+        raw = load_csv(path, kdd99_schema())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (raw.n, len(raw.rejected_rows)) == (39200, 800)
+    kept = np.ones(40000, dtype=bool)
+    kept[7::50] = False
+    expected = np.array([float(v) for v in values])[picks[kept]]
+    assert np.column_stack([c for c in raw.columns if c.dtype != object]).tobytes() == expected.tobytes()
+    assert {t for c in raw.columns if c.dtype == object for t in c} == {
+        t.strip() for group in tokens for t in group}
+    block = raw.n * 38 * 8
+    assert peak < 1.5 * block, f"peak {peak / block:.2f} x the numeric block"
+
+
+def test_dataset_check_holds_no_matrix_sized_temporary():
+    m = np.random.default_rng(3).standard_normal((20000, 50))
+    labels = np.zeros(20000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        Dataset(features=m, labels=labels, feature_names=[f"f{i}" for i in range(50)],
+                schema_id="synthetic", class_names=["c0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # An n x p bool array would be m.size bytes.
+    assert peak < m.size // 2, f"peak {peak / m.size:.2f} x an n x p bool array"
+    m = m.copy()  # the Dataset marked m read-only
+    m[12345, 7] = np.inf  # in the fourth block of rows
+    with pytest.raises(DataError, match="NaN or infinite"):
+        Dataset(features=m, labels=labels, feature_names=[f"f{i}" for i in range(50)],
+                schema_id="synthetic", class_names=["c0"])
 
 
 def test_dataset_is_read_only():

@@ -204,3 +204,24 @@ def test_fit_holds_no_centred_copy_of_its_input():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * m.nbytes, f"peak {peak / m.nbytes:.2f} x the input"
+
+
+def test_transform_projects_a_block_of_rows_at_a_time(monkeypatch):
+    # Products of at most _BLOCK_ROWS rows keep OpenBLAS from starting its worker threads.
+    rng = np.random.default_rng(8)
+    m = _z(rng.standard_normal((2 * _BLOCK_ROWS + 37, 12)) @ rng.standard_normal((12, 12)))
+    model, k = fit_pca(m), 5
+    rows = []
+    matmul = np.matmul
+
+    def counting_matmul(a, b, **kwargs):
+        rows.append(len(a))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    got = transform(model, m, k)
+    monkeypatch.undo()
+    assert rows == [_BLOCK_ROWS, _BLOCK_ROWS, 37]
+    expected = m @ model.loadings[:, :k]
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

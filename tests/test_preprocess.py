@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -104,6 +105,18 @@ def test_in_place_transform_matches_a_new_matrix_bit_for_bit(m):
         fresh = transform(s, m)
     assert out is target
     assert out.tobytes() == reference.tobytes() == fresh.tobytes()
+
+
+def test_blocked_fit_holds_one_block_of_deviations():
+    # One reused buffer of 4096 rows: 0.2 x a 20,000-row input.
+    m = np.random.default_rng(21).standard_normal((20000, 50))
+    tracemalloc.start()
+    try:
+        fit_standardizer(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * m.nbytes, f"peak {peak / m.nbytes:.2f} x the input"
 
 
 def test_dimension_mismatch():
