@@ -6,6 +6,7 @@ byte-identical and easy to diff.
 
 from __future__ import annotations
 
+import math
 from html import escape
 
 _WIDTH = 640
@@ -24,7 +25,7 @@ def bar_chart_svg(title: str, labels: list[str], values: list[float]) -> str:
     plot_width = _WIDTH - _MARGIN_LEFT - 20
     slot = plot_width / n
     bar_width = slot * 0.7
-    peak = max((v for v in values if v > 0), default=1.0)
+    peak = max((v for v in values if 0 < v < math.inf), default=1.0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
@@ -36,7 +37,7 @@ def bar_chart_svg(title: str, labels: list[str], values: list[float]) -> str:
         f'x2="{_WIDTH - 20}" y2="{_MARGIN_TOP + _BAR_AREA_HEIGHT}" stroke="black"/>',
     ]
     for i, (label, value) in enumerate(zip(labels, values)):
-        frac = max(value, 0.0) / peak
+        frac = min(max(value, 0.0) / peak, 1.0)  # an infinite value fills the bar area
         bar_h = frac * _BAR_AREA_HEIGHT
         x = _MARGIN_LEFT + i * slot + (slot - bar_width) / 2
         y = _MARGIN_TOP + _BAR_AREA_HEIGHT - bar_h
@@ -54,6 +55,8 @@ def bar_chart_svg(title: str, labels: list[str], values: list[float]) -> str:
 
 
 def _fmt(value: float) -> str:
+    if math.isinf(value):
+        return str(value)
     if value == int(value):
         return str(int(value))
     return f"{value:.4g}"

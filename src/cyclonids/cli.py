@@ -20,11 +20,11 @@ import sys
 import numpy as np
 
 from .boruta import BorutaConfig
-from .dataset import write_csv
+from .dataset import _not_utf8, write_csv
 from .errors import ConfigError, DataError, NumericError, unreadable
 from .forest import ForestConfig
-from .runner import (ExperimentConfig, comparison_csv, compare_datasets, emit_reports,
-                     run_experiment, run_kfold)
+from .runner import (CLASSIFIERS, ENCODINGS, SELECTORS, ExperimentConfig, _atomic_write,
+                     comparison_csv, compare_datasets, emit_reports, run_experiment, run_kfold)
 from .svm import SVMConfig
 from .synthgen import SynthConfig, gen_classification
 
@@ -64,23 +64,23 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", default=None, help="CSV file to load")
     parser.add_argument("--synth", default=None,
                         help="synthetic data spec: n=...,inf=...,noise=...,classes=...,sep=...,seed=...")
-    parser.add_argument("--selector", default="none", choices=["boruta", "pca", "none"])
-    parser.add_argument("--classifier", default="rf", choices=["rf", "svm"])
-    parser.add_argument("--encoding", default="auto", choices=["auto", "onehot", "ordinal"])
-    parser.add_argument("--test-fraction", type=float, default=0.2)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--selector", default=ExperimentConfig.selector, choices=SELECTORS)
+    parser.add_argument("--classifier", default=ExperimentConfig.classifier, choices=CLASSIFIERS)
+    parser.add_argument("--encoding", default=ExperimentConfig.encoding, choices=ENCODINGS)
+    parser.add_argument("--test-fraction", type=float, default=ExperimentConfig.test_fraction)
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     parser.add_argument("--out", default=None, help="output directory for reports")
     parser.add_argument("--name", default=None, help="dataset label used in reports")
     parser.add_argument("--folds", type=int, default=None,
                         help="optional k-fold cross-validation instead of the single holdout")
-    parser.add_argument("--boruta-max-iter", type=int, default=20)
-    parser.add_argument("--boruta-alpha", type=float, default=0.05)
-    parser.add_argument("--pca-threshold", type=float, default=0.95)
-    parser.add_argument("--rf-trees", type=int, default=100)
+    parser.add_argument("--boruta-max-iter", type=int, default=BorutaConfig.max_iterations)
+    parser.add_argument("--boruta-alpha", type=float, default=BorutaConfig.alpha)
+    parser.add_argument("--pca-threshold", type=float, default=ExperimentConfig.pca_threshold)
+    parser.add_argument("--rf-trees", type=int, default=ForestConfig.n_trees)
     parser.add_argument("--rf-seed", type=int, default=None, help="defaults to --seed")
-    parser.add_argument("--rf-max-depth", type=int, default=None)
-    parser.add_argument("--svm-c", type=float, default=1.0)
-    parser.add_argument("--svm-epochs", type=int, default=1000)
+    parser.add_argument("--rf-max-depth", type=int, default=ForestConfig.max_depth)
+    parser.add_argument("--svm-c", type=float, default=SVMConfig.c)
+    parser.add_argument("--svm-epochs", type=int, default=SVMConfig.max_epochs)
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -144,8 +144,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"std={summary['accuracy_std']:.4f} macro_f1 mean={summary['macro_f1_mean']:.4f}")
         if args.out:
             path = os.path.join(args.out, "kfold.json")
-            with _writing(args.out), open(path, "w", encoding="utf-8") as handle:
-                json.dump(summary, handle, indent=2, sort_keys=True)
+            with _writing(args.out):
+                _atomic_write(path, json.dumps(summary, indent=2, sort_keys=True))
             print(f"wrote {path}")
         return 0
     rec = run_experiment(cfg)
@@ -164,6 +164,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             lines = [ln.strip() for ln in handle]
     except OSError as exc:
         raise unreadable(args.config, exc) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(args.config) from None
     configs = []
     run_parser = argparse.ArgumentParser(prog="experiment-line", add_help=False)
     _add_run_arguments(run_parser)
@@ -172,7 +174,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             continue
         try:
             line_args = run_parser.parse_args(shlex.split(line))
-        except SystemExit:
+        except (SystemExit, ValueError):  # ValueError: shlex found an unclosed quote
             raise ConfigError(f"bad experiment line: {line}") from None
         if line_args.folds is not None:
             raise ConfigError(f"compare runs holdouts only; --folds is not allowed: {line}")
@@ -193,8 +195,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         path = os.path.join(args.out, "comparison.csv")
         with _writing(args.out):
             os.makedirs(args.out, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(comparison_csv(rows))
+            _atomic_write(path, comparison_csv(rows))
         print(f"wrote {path}")
     return 0
 

@@ -118,7 +118,6 @@ class Dataset:
     feature_names: list[str]
     schema_id: str
     class_names: list[str]
-    encoding_map: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -156,7 +155,6 @@ class Dataset:
             feature_names=list(self.feature_names),
             schema_id=self.schema_id,
             class_names=list(self.class_names),
-            encoding_map=self.encoding_map,
         )
 
 
@@ -482,39 +480,30 @@ def numeric_schema(d: Dataset) -> DatasetSchema:
 # --------------------------------------------------------------------------
 
 class CategoricalEncoder:
-    """Token -> number encoder fitted on rows of one RawDataset.
+    """Token -> number encoder fitted, when it is made, on the rows of one RawDataset.
 
     ``onehot`` expands each categorical column into one indicator column per
-    token seen at fit time plus a trailing unknown column; ``ordinal`` maps
+    token seen in ``raw`` plus a trailing unknown column; ``ordinal`` maps
     tokens to integers in first-seen order, with unseen tokens routed to the
     reserved index len(seen). Either way every output entry is finite.
     """
 
-    def __init__(self, strategy: str = "onehot"):
+    def __init__(self, strategy: str, raw: RawDataset):
         if strategy not in ("onehot", "ordinal"):
             raise ConfigError(f"unknown encoding strategy '{strategy}'")
         self.strategy = strategy
-        # per categorical column: token -> count over the fitted rows, in first-seen order
-        self.occurrences: dict[str, dict[str, int]] = {}
-        self._fitted = False
-
-    def fit(self, raw: RawDataset) -> "CategoricalEncoder":
-        """Learn each categorical column's tokens from the rows of ``raw``."""
-        for col, values in zip(raw.schema.feature_columns(), raw.columns):
-            if col.kind == CATEGORICAL:
-                self.occurrences[col.name] = dict(Counter(values))
-        self._fitted = True
-        return self
+        # per categorical column: token -> count over the rows of raw, in first-seen order
+        self.occurrences: dict[str, dict[str, int]] = {
+            col.name: dict(Counter(values))
+            for col, values in zip(raw.schema.feature_columns(), raw.columns)
+            if col.kind == CATEGORICAL}
 
     def transform(self, raw: RawDataset) -> Dataset:
-        if not self._fitted:
-            raise ConfigError("encoder used before fit")
         cols = raw.schema.feature_columns()
         widths = [len(self.occurrences.get(c.name, {})) + 1
                   if c.kind == CATEGORICAL and self.strategy == "onehot" else 1 for c in cols]
         features = np.zeros((raw.n, sum(widths)))  # one-hot cells left unset stay 0
         names: list[str] = []
-        encoding_map: dict[str, dict] = {}
 
         for col, values, at in zip(cols, raw.columns, itertools.accumulate(widths, initial=0)):
             if col.kind == NUMERIC:
@@ -522,30 +511,19 @@ class CategoricalEncoder:
                 names.append(col.name)
                 continue
 
-            occurrences = self.occurrences.get(col.name, {})
-            index = {tok: i for i, tok in enumerate(occurrences)}
+            index = {tok: i for i, tok in enumerate(self.occurrences.get(col.name, {}))}
             unknown = len(index)
             codes = np.fromiter(map(index.get, values, itertools.repeat(unknown)), dtype=np.intp,
                                 count=len(values))
             if self.strategy == "ordinal":
                 features[:, at] = codes
                 names.append(col.name)
-                encoding_map[col.name] = {"strategy": "ordinal",
-                                          "codes": index,
-                                          "unknown_code": unknown,
-                                          "occurrences": occurrences}
             else:
                 features[np.arange(raw.n), at + codes] = 1.0
-                col_names = [f"{col.name}={tok}" for tok in index] + [f"{col.name}={UNKNOWN_TOKEN}"]
-                names.extend(col_names)
-                encoding_map[col.name] = {"strategy": "onehot",
-                                          "columns": dict(zip(index, col_names)),
-                                          "unknown_column": col_names[-1],
-                                          "occurrences": occurrences}
+                names.extend([f"{col.name}={tok}" for tok in index] + [f"{col.name}={UNKNOWN_TOKEN}"])
 
         return Dataset(features=features, labels=raw.labels.copy(), feature_names=names,
-                       schema_id=raw.schema.id, class_names=list(raw.schema.class_names),
-                       encoding_map=encoding_map)
+                       schema_id=raw.schema.id, class_names=list(raw.schema.class_names))
 
 
 def encode_categoricals(raw: RawDataset, encoder: CategoricalEncoder | str = "onehot") -> Dataset:
@@ -556,7 +534,7 @@ def encode_categoricals(raw: RawDataset, encoder: CategoricalEncoder | str = "on
     (onehot) or the reserved code (ordinal).
     """
     if isinstance(encoder, str):
-        encoder = CategoricalEncoder(encoder).fit(raw)
+        encoder = CategoricalEncoder(encoder, raw)
     return encoder.transform(raw)
 
 

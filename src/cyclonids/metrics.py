@@ -8,7 +8,7 @@ splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,17 +56,8 @@ class EvaluationReport:
         return {
             "class_names": list(self.matrix.class_names),
             "confusion_matrix": self.matrix.counts.tolist(),
-            "per_class_metrics": [
-                {
-                    "class": name,
-                    "tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn,
-                    "precision": m.precision, "recall": m.recall, "f1": m.f1,
-                    "precision_undefined": m.precision_undefined,
-                    "recall_undefined": m.recall_undefined,
-                    "f1_undefined": m.f1_undefined,
-                }
-                for name, m in zip(self.matrix.class_names, self.per_class)
-            ],
+            "per_class_metrics": [{"class": name, **asdict(m)}
+                                  for name, m in zip(self.matrix.class_names, self.per_class)],
             "accuracy": self.accuracy,
             "macro_precision": self.macro_precision,
             "macro_recall": self.macro_recall,

@@ -19,11 +19,13 @@ encoder included, on that fold's training rows.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import time
@@ -123,23 +125,8 @@ class ExperimentConfig:
         return self.name or self.schema
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "data_path": self.data_path,
-            "synth": dataclasses.asdict(self.synth) if self.synth else None,
-            "selector": self.selector,
-            "classifier": self.classifier,
-            "encoding": self.encoding,
-            "encoding_resolved": self.resolved_encoding(),
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-            "name": self.label(),
-            "boruta": dataclasses.asdict(self.boruta),
-            "pca_threshold": self.pca_threshold,
-            "forest": dataclasses.asdict(self.forest),
-            "svm": dataclasses.asdict(self.svm),
-            "folds": self.folds,
-        }
+        return {**dataclasses.asdict(self), "name": self.label(),
+                "encoding_resolved": self.resolved_encoding()}
 
 
 @dataclasses.dataclass
@@ -175,9 +162,9 @@ def _parsed_summary(raw: RawDataset) -> dict:
     }
 
 
-def _summary(parsed: dict, train: Dataset, n_test: int) -> dict:
+def _summary(parsed: dict, train: Dataset, encoder: CategoricalEncoder, n_test: int) -> dict:
     """The report's dataset section: ``parsed`` plus the split sizes, the encoded width and
-    the training split's vocabulary."""
+    the vocabulary of the training split, which ``encoder`` was fitted on."""
     return {
         **parsed,
         "n_features": train.p,
@@ -186,8 +173,8 @@ def _summary(parsed: dict, train: Dataset, n_test: int) -> dict:
         # training-row token frequencies per categorical column (top 20), so
         # salience rankings can be compared against plain occurrence counts
         "categorical_occurrences": {
-            col: dict(sorted(info["occurrences"].items(), key=lambda kv: (-kv[1], kv[0]))[:20])
-            for col, info in train.encoding_map.items()
+            col: dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:20])
+            for col, counts in encoder.occurrences.items()
         },
     }
 
@@ -198,6 +185,10 @@ def _standardized(standardizer: preprocess.Standardizer, d: Dataset) -> Dataset:
     m = d.features
     m.setflags(write=True)
     return dataclasses.replace(d, features=preprocess.transform(standardizer, m, out=m))
+
+
+def _finite_or_none(value: float) -> float | None:
+    return float(value) if math.isfinite(value) else None
 
 
 def _select_stage(cfg: ExperimentConfig, train: Dataset):
@@ -232,8 +223,9 @@ def _select_stage(cfg: ExperimentConfig, train: Dataset):
             "rejected": result.n_rejected,
             "decisions": {name: dec.value for name, dec in zip(names, result.decisions)},
             "hits": {name: int(h) for name, h in zip(names, result.hits)},
-            "final_z": {name: float(z) for name, z in zip(names, result.z_history[-1][0])},
-            "final_mzs": result.z_history[-1][1],
+            # +inf (importance equal and nonzero in every tree) is written as null
+            "final_z": {name: _finite_or_none(z) for name, z in zip(names, result.z_history[-1][0])},
+            "final_mzs": _finite_or_none(result.z_history[-1][1]),
             "fallback": fallback,
         }
         kept = [names[i] for i in selected]
@@ -256,21 +248,29 @@ def _select_stage(cfg: ExperimentConfig, train: Dataset):
         d, features=pca_mod.transform(model, d.features, k), feature_names=list(components))
 
 
+@contextlib.contextmanager
+def _clock(timings: dict[str, float], stage: str):
+    """Add the block's wall-clock seconds to ``timings[stage]``, so a stage that both the
+    fit and the apply pass run sums their parts."""
+    t0 = time.perf_counter()
+    yield
+    timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """One seeded holdout run."""
     cfg.validate()
+    timings: dict[str, float] = {}
     started = time.perf_counter()
-    raw = _load_stage(cfg)
-    timings = {"load": time.perf_counter() - started}
-
-    t0 = time.perf_counter()
-    parsed = _parsed_summary(raw)
-    halves = list(split(raw, cfg.test_fraction, cfg.seed))
-    del raw  # the splits hold copies of its rows
-    if halves[0].n < 2:
-        raise DataError(f"the training split holds {halves[0].n} of {parsed['n_rows']} rows; "
-                        "fitting needs at least 2 (use a smaller --test-fraction or more rows)")
-    timings["split"] = time.perf_counter() - t0
+    with _clock(timings, "load"):
+        raw = _load_stage(cfg)
+    with _clock(timings, "split"):
+        parsed = _parsed_summary(raw)
+        halves = list(split(raw, cfg.test_fraction, cfg.seed))
+        del raw  # the splits hold copies of its rows
+        if halves[0].n < 2:
+            raise DataError(f"the training split holds {halves[0].n} of {parsed['n_rows']} rows; "
+                            "fitting needs at least 2 (use a smaller --test-fraction or more rows)")
     return _run_split(cfg, parsed, halves, timings, started)
 
 
@@ -278,63 +278,46 @@ def _run_split(cfg: ExperimentConfig, parsed: dict, halves: list[RawDataset],
                timings: dict[str, float], started: float) -> RunRecord:
     """The post-split pipeline shared by the holdout and k-fold paths: a fit pass over the
     training rows, then an apply pass over the test rows. Each stage's seconds go to
-    ``timings``, the two passes' parts of ``encode``, ``standardize`` and ``select`` summed
-    ("total" counts from ``started``).
+    ``timings`` ("total" counts from ``started``).
 
     ``halves`` = [train, test] parsed rows. Each pass pops its split's rows, so the
     caller's list keeps neither alive once it is encoded, and the training matrix goes
     before the test rows are encoded: at most one split's matrix exists at a time."""
-    t0 = time.perf_counter()
-    raw = halves.pop(0)
-    encoder = CategoricalEncoder(cfg.resolved_encoding()).fit(raw)
-    train = encode_categoricals(raw, encoder)
-    del raw
-    summary = _summary(parsed, train, halves[0].n)
-    timings["encode"] = time.perf_counter() - t0
+    with _clock(timings, "encode"):
+        raw = halves.pop(0)
+        encoder = CategoricalEncoder(cfg.resolved_encoding(), raw)
+        train = encode_categoricals(raw, encoder)
+        del raw
+        summary = _summary(parsed, train, encoder, halves[0].n)
+    with _clock(timings, "standardize"):
+        standardizer = preprocess.fit_standardizer(train.features)
+        train = _standardized(standardizer, train)
+    with _clock(timings, "select"):
+        selector_report, selector_obj, select = _select_stage(cfg, train)
+        train = select(train)
+    with _clock(timings, "train"):
+        class_names, selected_names = list(train.class_names), list(train.feature_names)
+        if cfg.classifier == "rf":
+            model = forest_mod.train_forest_xy(train.features, train.labels, len(class_names),
+                                               cfg.forest, class_names=class_names)
+            predict = lambda m: forest_mod.predict(model, m)
+            classifier_report = model.shape()
+        else:
+            model = svm_mod.train_svm(train, cfg.svm)
+            predict = lambda m: svm_mod.predict(model, m)
+            classifier_report = model.solves
+        del train
 
-    t0 = time.perf_counter()
-    standardizer = preprocess.fit_standardizer(train.features)
-    train = _standardized(standardizer, train)
-    timings["standardize"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    selector_report, selector_obj, select = _select_stage(cfg, train)
-    train = select(train)
-    timings["select"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    class_names, selected_names = list(train.class_names), list(train.feature_names)
-    if cfg.classifier == "rf":
-        model = forest_mod.train_forest_xy(train.features, train.labels, len(class_names),
-                                           cfg.forest, class_names=class_names)
-        predict = lambda m: forest_mod.predict(model, m)
-        classifier_report = model.shape()
-    else:
-        model = svm_mod.train_svm(train, cfg.svm)
-        predict = lambda m: svm_mod.predict(model, m)
-        classifier_report = model.solves
-    del train
-    timings["train"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    test = encode_categoricals(halves.pop(), encoder)
-    timings["encode"] += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    test = _standardized(standardizer, test)
-    timings["standardize"] += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    test = select(test)
-    timings["select"] += time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    predicted = predict(test.features)
-    timings["predict"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    evaluation = metrics_mod.evaluate(test.labels, predicted, class_names)
-    timings["evaluate"] = time.perf_counter() - t0
+    with _clock(timings, "encode"):
+        test = encode_categoricals(halves.pop(), encoder)
+    with _clock(timings, "standardize"):
+        test = _standardized(standardizer, test)
+    with _clock(timings, "select"):
+        test = select(test)
+    with _clock(timings, "predict"):
+        predicted = predict(test.features)
+    with _clock(timings, "evaluate"):
+        evaluation = metrics_mod.evaluate(test.labels, predicted, class_names)
     timings["total"] = time.perf_counter() - started
 
     digests = {"standardizer": _digest(standardizer.to_text()),
@@ -387,47 +370,37 @@ def _atomic_write(path: str, text: str) -> None:
 
 def emit_reports(rec: RunRecord, out_dir: str) -> list[str]:
     """Write report.json, confusion.csv, selector.csv, and charts/*.svg."""
-    os.makedirs(out_dir, exist_ok=True)
-    charts_dir = os.path.join(out_dir, "charts")
-    os.makedirs(charts_dir, exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "charts"), exist_ok=True)
     written: list[str] = []
 
-    path = os.path.join(out_dir, "report.json")
-    _atomic_write(path, json.dumps(report_dict(rec), indent=2, sort_keys=True) + "\n")
-    written.append(path)
+    def write(name: str, text: str) -> None:
+        path = os.path.join(out_dir, name)
+        _atomic_write(path, text)
+        written.append(path)
 
+    report = json.dumps(report_dict(rec), indent=2, sort_keys=True, allow_nan=False)
+    write("report.json", report + "\n")
     cm = rec.evaluation.matrix
     rows = [["actual\\predicted"] + list(cm.class_names)]
     rows += [[name] + [str(int(v)) for v in row] for name, row in zip(cm.class_names, cm.counts)]
-    path = os.path.join(out_dir, "confusion.csv")
-    _atomic_write(path, _csv_text(rows))
-    written.append(path)
-
-    path = os.path.join(out_dir, "selector.csv")
-    _atomic_write(path, _selector_csv(rec))
-    written.append(path)
-
+    write("confusion.csv", _csv_text(rows))
+    write("selector.csv", _selector_csv(rec))
     dist = rec.dataset_summary["class_distribution"]
-    path = os.path.join(charts_dir, "class_distribution.svg")
-    _atomic_write(path, charts.bar_chart_svg(f"Class distribution ({rec.config.label()})",
-                                             list(dist), [float(v) for v in dist.values()]))
-    written.append(path)
+    write(os.path.join("charts", "class_distribution.svg"),
+          charts.bar_chart_svg(f"Class distribution ({rec.config.label()})",
+                               list(dist), [float(v) for v in dist.values()]))
 
     if rec.selector_report.get("type") == "pca":
         ranked = rec.selector_report["salience"][:20]
-        path = os.path.join(charts_dir, "salience.svg")
-        _atomic_write(path, charts.bar_chart_svg("PCA feature salience",
-                                                 [r["feature"] for r in ranked],
-                                                 [r["score"] for r in ranked]))
-        written.append(path)
+        write(os.path.join("charts", "salience.svg"),
+              charts.bar_chart_svg("PCA feature salience", [r["feature"] for r in ranked],
+                                   [r["score"] for r in ranked]))
     elif rec.selector_report.get("type") == "boruta":
-        z = rec.selector_report["final_z"]
-        finite = {k: (v if np.isfinite(v) else 0.0) for k, v in z.items()}
-        top = sorted(finite.items(), key=lambda kv: -kv[1])[:20]
-        path = os.path.join(charts_dir, "boruta_z.svg")
-        _atomic_write(path, charts.bar_chart_svg("Boruta feature Z-scores (final iteration)",
-                                                 [k for k, _ in top], [v for _, v in top]))
-        written.append(path)
+        z = {k: math.inf if v is None else v for k, v in rec.selector_report["final_z"].items()}
+        top = sorted(z.items(), key=lambda kv: -kv[1])[:20]
+        write(os.path.join("charts", "boruta_z.svg"),
+              charts.bar_chart_svg("Boruta feature Z-scores (final iteration)",
+                                   [k for k, _ in top], [v for _, v in top]))
     return written
 
 
@@ -492,9 +465,9 @@ def run_kfold(cfg: ExperimentConfig) -> dict:
     if cfg.folds is None:
         raise ConfigError("k-fold needs folds set in the config")
     folds = cfg.folds
-    started = time.perf_counter()
-    raw = _load_stage(cfg)
-    load_s = time.perf_counter() - started
+    timings: dict[str, float] = {}
+    with _clock(timings, "load"):
+        raw = _load_stage(cfg)
     if folds > raw.n:
         raise ConfigError(f"{folds} folds need at least {folds} rows, the data has {raw.n}")
     perm = np.random.default_rng(cfg.seed).permutation(raw.n)
@@ -506,12 +479,13 @@ def run_kfold(cfg: ExperimentConfig) -> dict:
     parsed = _parsed_summary(raw)
     accuracies, macro_f1s = [], []
     for f in range(folds):
-        t0 = time.perf_counter()
-        test_rows = np.sort(perm[bounds[f]:bounds[f + 1]])
-        train_rows = np.sort(np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]]))
-        halves = [raw.take(train_rows), raw.take(test_rows)]
-        timings = {"load": load_s, "split": time.perf_counter() - t0}
-        rec = _run_split(cfg, parsed, halves, timings, t0 - load_s)
+        fold_timings = dict(timings)  # the shared load, then this fold's stages
+        started = time.perf_counter() - timings["load"]
+        with _clock(fold_timings, "split"):
+            test_rows = np.sort(perm[bounds[f]:bounds[f + 1]])
+            train_rows = np.sort(np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]]))
+            halves = [raw.take(train_rows), raw.take(test_rows)]
+        rec = _run_split(cfg, parsed, halves, fold_timings, started)
         accuracies.append(rec.evaluation.accuracy)
         macro_f1s.append(rec.evaluation.macro_f1)
     return {

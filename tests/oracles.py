@@ -102,16 +102,18 @@ def best_threshold_errors(x: np.ndarray, y: np.ndarray) -> int:
 def best_linear_rule_accuracy(points: np.ndarray, labels: np.ndarray,
                               angles: int = 720, offsets: int = 801,
                               radius: float = 4.0) -> float:
-    """Best accuracy of any 2-D halfplane rule, by dense grid over direction/offset."""
+    """Best accuracy of any 2-D halfplane rule, by dense grid over direction/offset.
+
+    Each direction is tested against every offset at once, and its projection is
+    summed term by term rather than by a BLAS product.
+    """
+    offset_column = np.linspace(-radius, radius, offsets)[:, None]
     best = 0.0
-    n = len(labels)
     for t in range(angles):
         theta = 2.0 * math.pi * t / angles
-        direction = np.array([math.cos(theta), math.sin(theta)])
-        projections = points @ direction
-        for b in np.linspace(-radius, radius, offsets):
-            pred = (projections + b > 0).astype(int)
-            best = max(best, float(np.mean(pred == labels)))
+        projections = points[:, 0] * math.cos(theta) + points[:, 1] * math.sin(theta)
+        pred = (projections + offset_column > 0).astype(int)  # (offsets, n)
+        best = max(best, float((pred == labels).mean(axis=1).max()))
     return best
 
 

@@ -175,6 +175,25 @@ def test_compare_config_directory_exits_3(tmp_path, capsys):
     assert f"cannot read {tmp_path}: Is a directory" in capsys.readouterr().err
 
 
+def test_compare_non_utf8_config_exits_3_naming_the_line(tmp_path, capsys):
+    config = tmp_path / "experiments.txt"
+    config.write_bytes(b"# runs\n--schema synthetic --name caf\xe9\n")
+    code = main(["compare", "--config", str(config)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "line 2 is not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_compare_line_with_an_unclosed_quote_exits_2(tmp_path, capsys):
+    line = '--schema synthetic --synth n=200,inf=2,noise=1,classes=2,sep=10,seed=5 --name "open'
+    config = tmp_path / "experiments.txt"
+    config.write_text(line + "\n")
+    code = main(["compare", "--config", str(config)])
+    assert code == 2
+    assert f"bad experiment line: {line}" in capsys.readouterr().err
+
+
 def test_run_unreadable_data_file_exits_3(tmp_path, capsys, monkeypatch):
     from cyclonids import dataset
 

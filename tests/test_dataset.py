@@ -393,7 +393,7 @@ def test_unseen_token_routes_to_unknown_bucket(tmp_path):
     schema, fit_rows = _token_raw(["TCP", "UDP"])
     fit_path = _write(tmp_path, "fit.csv", "\n".join(fit_rows) + "\n")
     new_path = _write(tmp_path, "new.csv", UGRANSOME_ROW.replace("TCP", "ICMP") + "\n")
-    encoder = CategoricalEncoder("onehot").fit(load_csv(fit_path, schema))
+    encoder = CategoricalEncoder("onehot", load_csv(fit_path, schema))
     d = encoder.transform(load_csv(new_path, schema))
     cols = [i for i, n in enumerate(d.feature_names) if n.startswith("protocol=")]
     assert d.features[0, cols].tolist() == [0.0, 0.0, 1.0]
@@ -403,7 +403,7 @@ def test_ordinal_unseen_token_gets_reserved_code(tmp_path):
     schema, fit_rows = _token_raw(["TCP", "UDP"])
     fit_path = _write(tmp_path, "fit.csv", "\n".join(fit_rows) + "\n")
     new_path = _write(tmp_path, "new.csv", UGRANSOME_ROW.replace("TCP", "ICMP") + "\n")
-    encoder = CategoricalEncoder("ordinal").fit(load_csv(fit_path, schema))
+    encoder = CategoricalEncoder("ordinal", load_csv(fit_path, schema))
     d = encoder.transform(load_csv(new_path, schema))
     col = d.feature_names.index("protocol")
     assert d.features[0, col] == 2.0
@@ -414,16 +414,18 @@ def test_fit_rows_vocabulary_sends_other_tokens_to_unknown(tmp_path):
     raw = load_csv(_write(tmp_path, "ug.csv", "\n".join(rows) + "\n"), schema)
     fit_on = raw.take(np.array([0, 1]))
 
-    d = encode_categoricals(raw, CategoricalEncoder("onehot").fit(fit_on))
+    encoder = CategoricalEncoder("onehot", fit_on)
+    d = encode_categoricals(raw, encoder)
     cols = [i for i, n in enumerate(d.feature_names) if n.startswith("protocol=")]
     assert [d.feature_names[i] for i in cols] == [
         "protocol=TCP", "protocol=UDP", "protocol=__unknown__"]
     assert d.features[:, cols].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert d.encoding_map["protocol"]["occurrences"] == {"TCP": 1, "UDP": 1}
+    assert encoder.occurrences["protocol"] == {"TCP": 1, "UDP": 1}
 
-    d = encode_categoricals(raw, CategoricalEncoder("ordinal").fit(fit_on))
+    encoder = CategoricalEncoder("ordinal", fit_on)
+    d = encode_categoricals(raw, encoder)
     assert d.features[:, d.feature_names.index("protocol")].tolist() == [0.0, 1.0, 2.0]
-    assert d.encoding_map["protocol"]["unknown_code"] == 2
+    assert len(encoder.occurrences["protocol"]) == 2  # the reserved unknown code
 
 
 def test_encoding_totality(tmp_path):
@@ -438,13 +440,15 @@ def test_encoder_records_encoding_map(tmp_path):
     schema, rows = _token_raw(["TCP", "UDP"])
     path = _write(tmp_path, "ug.csv", "\n".join(rows) + "\n")
     d = encode_categoricals(load_csv(path, schema), "onehot")
-    assert d.encoding_map["protocol"]["columns"]["TCP"] == "protocol=TCP"
-    assert d.encoding_map["protocol"]["unknown_column"] == "protocol=__unknown__"
+    assert [name for name in d.feature_names if name.startswith("protocol=")] == [
+        "protocol=TCP", "protocol=UDP", "protocol=__unknown__"]
 
 
-def test_bad_strategy():
+def test_bad_strategy(tmp_path):
+    schema, rows = _token_raw(["TCP"])
+    raw = load_csv(_write(tmp_path, "ug.csv", "\n".join(rows) + "\n"), schema)
     with pytest.raises(ConfigError):
-        CategoricalEncoder("fourier")
+        CategoricalEncoder("fourier", raw)
 
 
 # ---------------------------------------------------------------- round trip

@@ -177,6 +177,25 @@ def test_emit_reports_files_and_formats(tmp_path):
         assert key in report, key
 
 
+def test_infinite_boruta_z_is_null_in_the_report_and_a_full_bar_in_the_chart(tmp_path):
+    # One informative column, no noise: its importance is the same nonzero value in every
+    # tree, so its Z-score is +inf.
+    rec = run_experiment(_cfg(synth=SynthConfig(400, 1, 0, 2, 10.0, seed=3), selector="boruta"))
+    out = tmp_path / "run"
+    emit_reports(rec, str(out))
+
+    def strict(token):
+        raise ValueError(f"report.json holds the non-JSON token {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=strict)
+    assert report["selector_report"]["decisions"] == {"f0": "Confirmed"}
+    assert report["selector_report"]["final_z"] == {"f0": None}
+    chart = (out / "charts" / "boruta_z.svg").read_text()
+    bars = [line for line in chart.splitlines() if 'fill="#4878a8"' in line]
+    assert len(bars) == 1 and 'height="320.0"' in bars[0]  # the whole bar area
+    assert ">inf</text>" in chart and ">f0</text>" in chart
+
+
 def test_svm_report_reads_back_each_solve(tmp_path):
     cfg = _cfg(synth=SynthConfig(1500, 3, 5, 3, 1.5, seed=8), classifier="svm")
     rec = run_experiment(cfg)
@@ -434,12 +453,12 @@ def _kdd_cfg(path, selector):
 
 def _encode_whole_file(raw, strategy, train_rows):
     """Every row of ``raw`` encoded with the vocabulary of ``train_rows`` alone: what a run
-    did before it split the parsed rows first."""
-    encoder = CategoricalEncoder(strategy).fit(raw)
+    did before it split the parsed rows first. Returns the encoder and the encoded rows."""
+    encoder = CategoricalEncoder(strategy, raw)
     encoder.occurrences = {col.name: dict(Counter(values[train_rows]))
                            for col, values in zip(raw.schema.feature_columns(), raw.columns)
                            if col.kind == CATEGORICAL}
-    return encoder.transform(raw)
+    return encoder, encoder.transform(raw)
 
 
 @pytest.mark.parametrize("strategy", ["onehot", "ordinal"])
@@ -454,16 +473,16 @@ def test_each_split_encodes_as_the_whole_file_did(tmp_path, strategy):
     path.write_text("\n".join(lines) + "\n")
     raw = load_csv(str(path), kdd99_schema())
 
-    whole = _encode_whole_file(raw, strategy, train_rows)
+    whole_encoder, whole = _encode_whole_file(raw, strategy, train_rows)
     pair = split(raw, 0.2, 42)
-    encoder = CategoricalEncoder(strategy).fit(pair.train)
+    encoder = CategoricalEncoder(strategy, pair.train)
     for part, rows in ((pair.train, train_rows), (pair.test, test_rows)):
         mine, reference = encode_categoricals(part, encoder), whole.take(rows)
         assert mine.features.tobytes() == reference.features.tobytes()
         assert np.array_equal(mine.labels, reference.labels)
         assert mine.feature_names == reference.feature_names
-        assert mine.encoding_map == reference.encoding_map
-    assert "gopher" not in whole.encoding_map["service"]["occurrences"]
+    assert encoder.occurrences == whole_encoder.occurrences
+    assert "gopher" not in whole_encoder.occurrences["service"]
 
 
 def test_report_lists_rejected_rows(tmp_path):
