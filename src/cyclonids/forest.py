@@ -426,15 +426,11 @@ def predict(model: ForestModel, m: np.ndarray) -> np.ndarray:
     return np.argmax(tallies, axis=0)
 
 
-def per_tree_importances(model: ForestModel, normalize: bool = True) -> np.ndarray:
-    """(T, p) matrix of per-tree importances.
-
-    With normalize=True each tree's vector is scaled to sum 1 (all-zero trees
-    stay zero), making trees comparable regardless of their total impurity
-    decrease; this is the matrix the Boruta Z-scores consume.
+def per_tree_importances(model: ForestModel) -> np.ndarray:
+    """(T, p) matrix of per-tree importances, each tree's vector scaled to sum 1 (all-zero
+    trees stay zero), making trees comparable regardless of their total impurity decrease;
+    this is the matrix the Boruta Z-scores consume.
     """
     raw = np.stack([t.importance for t in model.trees])
-    if not normalize:
-        return raw
     sums = raw.sum(axis=1, keepdims=True)
     return raw / np.where(sums > 0.0, sums, 1.0)

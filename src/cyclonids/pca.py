@@ -9,7 +9,7 @@ process. Both take rows that are already standardized: the runner fits the
 run's only standardizer and applies it before selection, whatever the
 selector. Components are sorted by descending eigenvalue, and each loading
 column is sign-fixed so its largest-magnitude entry is non-negative, which
-makes results deterministic across BLAS builds.
+makes results deterministic for one BLAS build and thread count.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ matrix of the whole input is ever built, each split is standardized in
 place, and each matrix goes after its last use. The runner fits the run's
 only standardizer, whatever the selector, and the selector and the
 classifier see only standardized rows. No statistic of the test split ever
-reaches a fitted component, and every random stage is seeded, so a config
-reproduces its report bit for bit apart from wall-clock timings. k-fold
-runs the same post-split pipeline per fold, refitting everything, the
-encoder included, on that fold's training rows.
+reaches a fitted component, and every random stage is seeded, so for one
+BLAS build and thread count a config reproduces its report apart from
+wall-clock timings. k-fold runs the same post-split pipeline per fold,
+refitting everything, the encoder included, on that fold's training rows,
+and keeps only each fold's scores.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import platform
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__ as _pkg_version
 from . import boruta as boruta_mod
@@ -162,14 +162,12 @@ def _parsed_summary(raw: RawDataset) -> dict:
     }
 
 
-def _summary(parsed: dict, train: Dataset, encoder: CategoricalEncoder, n_test: int) -> dict:
-    """The report's dataset section: ``parsed`` plus the split sizes, the encoded width and
+def _summary(parsed: dict, sizes: dict, encoder: CategoricalEncoder) -> dict:
+    """The report's dataset section: ``parsed``, the encoded width and split ``sizes``, and
     the vocabulary of the training split, which ``encoder`` was fitted on."""
     return {
         **parsed,
-        "n_features": train.p,
-        "n_train": train.n,
-        "n_test": n_test,
+        **sizes,
         # training-row token frequencies per categorical column (top 20), so
         # salience rankings can be compared against plain occurrence counts
         "categorical_occurrences": {
@@ -271,24 +269,29 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         if halves[0].n < 2:
             raise DataError(f"the training split holds {halves[0].n} of {parsed['n_rows']} rows; "
                             "fitting needs at least 2 (use a smaller --test-fraction or more rows)")
-    return _run_split(cfg, parsed, halves, timings, started)
+    _, record = _run_split(cfg, halves, timings)
+    timings["total"] = time.perf_counter() - started
+    return record(parsed)
 
 
-def _run_split(cfg: ExperimentConfig, parsed: dict, halves: list[RawDataset],
-               timings: dict[str, float], started: float) -> RunRecord:
+def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[str, float]):
     """The post-split pipeline shared by the holdout and k-fold paths: a fit pass over the
     training rows, then an apply pass over the test rows. Each stage's seconds go to
-    ``timings`` ("total" counts from ``started``).
+    ``timings``.
 
     ``halves`` = [train, test] parsed rows. Each pass pops its split's rows, so the
     caller's list keeps neither alive once it is encoded, and the training matrix goes
-    before the test rows are encoded: at most one split's matrix exists at a time."""
+    before the test rows are encoded: at most one split's matrix exists at a time.
+
+    Returns the test split's evaluation and ``record(parsed)``, which builds the holdout
+    run's RunRecord from the fitted components: only that serializes a model, so a
+    caller that keeps just the scores drops the components with the returned pair."""
     with _clock(timings, "encode"):
         raw = halves.pop(0)
         encoder = CategoricalEncoder(cfg.resolved_encoding(), raw)
         train = encode_categoricals(raw, encoder)
         del raw
-        summary = _summary(parsed, train, encoder, halves[0].n)
+        sizes = {"n_features": train.p, "n_train": train.n, "n_test": halves[0].n}
     with _clock(timings, "standardize"):
         standardizer = preprocess.fit_standardizer(train.features)
         train = _standardized(standardizer, train)
@@ -318,15 +321,17 @@ def _run_split(cfg: ExperimentConfig, parsed: dict, halves: list[RawDataset],
         predicted = predict(test.features)
     with _clock(timings, "evaluate"):
         evaluation = metrics_mod.evaluate(test.labels, predicted, class_names)
-    timings["total"] = time.perf_counter() - started
 
-    digests = {"standardizer": _digest(standardizer.to_text()),
-               "classifier": _digest(model.to_text())}
-    if selector_obj is not None:
-        digests["selector"] = _digest(selector_obj.to_text())
-    return RunRecord(config=cfg, dataset_summary=summary, selector_report=selector_report,
-                     classifier_report=classifier_report, selected_features=selected_names,
-                     evaluation=evaluation, timings=timings, component_digests=digests)
+    def record(parsed: dict) -> RunRecord:
+        digests = {"standardizer": _digest(standardizer.to_text()),
+                   "classifier": _digest(model.to_text())}
+        if selector_obj is not None:
+            digests["selector"] = _digest(selector_obj.to_text())
+        return RunRecord(config=cfg, dataset_summary=_summary(parsed, sizes, encoder),
+                         selector_report=selector_report, classifier_report=classifier_report,
+                         selected_features=selected_names, evaluation=evaluation, timings=timings,
+                         component_digests=digests)
+    return evaluation, record
 
 
 def report_dict(rec: RunRecord) -> dict:
@@ -345,7 +350,6 @@ def report_dict(rec: RunRecord) -> dict:
             "cyclonids": _pkg_version,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     body.update(rec.evaluation.to_dict())
@@ -465,9 +469,7 @@ def run_kfold(cfg: ExperimentConfig) -> dict:
     if cfg.folds is None:
         raise ConfigError("k-fold needs folds set in the config")
     folds = cfg.folds
-    timings: dict[str, float] = {}
-    with _clock(timings, "load"):
-        raw = _load_stage(cfg)
+    raw = _load_stage(cfg)
     if folds > raw.n:
         raise ConfigError(f"{folds} folds need at least {folds} rows, the data has {raw.n}")
     perm = np.random.default_rng(cfg.seed).permutation(raw.n)
@@ -476,18 +478,14 @@ def run_kfold(cfg: ExperimentConfig) -> dict:
     if fewest < 2:
         raise DataError(f"a training fold holds {fewest} of {raw.n} rows; "
                         "fitting needs at least 2 (use more --folds or more rows)")
-    parsed = _parsed_summary(raw)
     accuracies, macro_f1s = [], []
     for f in range(folds):
-        fold_timings = dict(timings)  # the shared load, then this fold's stages
-        started = time.perf_counter() - timings["load"]
-        with _clock(fold_timings, "split"):
-            test_rows = np.sort(perm[bounds[f]:bounds[f + 1]])
-            train_rows = np.sort(np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]]))
-            halves = [raw.take(train_rows), raw.take(test_rows)]
-        rec = _run_split(cfg, parsed, halves, fold_timings, started)
-        accuracies.append(rec.evaluation.accuracy)
-        macro_f1s.append(rec.evaluation.macro_f1)
+        test_rows = np.sort(perm[bounds[f]:bounds[f + 1]])
+        train_rows = np.sort(np.concatenate([perm[:bounds[f]], perm[bounds[f + 1]:]]))
+        # only the scores are kept: the fold's fitted components go with the returned pair
+        evaluation = _run_split(cfg, [raw.take(train_rows), raw.take(test_rows)], {})[0]
+        accuracies.append(evaluation.accuracy)
+        macro_f1s.append(evaluation.macro_f1)
     return {
         "folds": folds,
         "accuracy_per_fold": accuracies,

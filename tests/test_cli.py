@@ -22,6 +22,16 @@ def test_import_loads_neither_scipy_stats_nor_scipy_special():
     assert out.strip() == "[]"
 
 
+def test_import_adds_no_third_party_module_but_numpy():
+    # scipy is a test reference only; the runtime's one dependency is numpy.
+    probe = ("import sys; before = set(sys.modules); import cyclonids.cli; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} "
+             "- set(sys.stdlib_module_names) - {'cyclonids'}))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['numpy']"
+
+
 def test_import_loads_no_xml_http_email_or_ssl_module():
     # xml.sax.saxutils pulls in urllib.request, http.client, ssl and email.
     probe = ("import sys, cyclonids.runner; print(sorted(m for m in sys.modules "

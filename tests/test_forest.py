@@ -221,7 +221,7 @@ def test_pinned_model_digest(name):
     (x, y, k), cfg, text_digest, importance_digest = PINNED_FORESTS[name]
     model = train_forest_xy(x, y, k, cfg)
     assert _sha(model.to_text()) == text_digest
-    raw = per_tree_importances(model, normalize=False)
+    raw = np.stack([t.importance for t in model.trees])
     assert hashlib.sha256(raw.tobytes()).hexdigest() == importance_digest
 
 

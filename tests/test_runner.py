@@ -331,6 +331,19 @@ def test_kfold_per_fold_scores_are_pinned(tmp_path, case):
     assert (summary["accuracy_per_fold"], summary["macro_f1_per_fold"]) == _PARENT_KFOLD[case]
 
 
+def test_kfold_serializes_no_model(monkeypatch):
+    # k-fold keeps each fold's scores; model text and digests are the holdout report's alone
+    from cyclonids import runner
+
+    def refuse(*args):
+        raise AssertionError("k-fold serialized a model")
+
+    monkeypatch.setattr(runner, "_digest", refuse)
+    monkeypatch.setattr(forest_mod.ForestModel, "to_text", refuse)
+    summary = run_kfold(_cfg(folds=3))
+    assert len(summary["accuracy_per_fold"]) == 3
+
+
 def test_kfold_needs_folds_in_the_config():
     with pytest.raises(ConfigError, match="folds"):
         run_kfold(_cfg())
