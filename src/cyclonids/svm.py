@@ -24,10 +24,14 @@ rebuilt as x @ w before that check and before each epoch's bias and
 objective. For a linear kernel w = sum_i alpha_i y_i x_i, so f_i = w . x_i
 exactly: one gemv, where a kernel SVM must sum over every support vector.
 When the active set's gap closes, every row is reactivated and the full gap
-tested again, so the solve stops only where the unshrunk solver could.
-Likewise an epoch that ran on part of the rows never ends the solve as
-stalled (best objective improved by less than the tolerance): the next
-epoch runs on every row, and only such an epoch can stall the solve.
+tested again, so a closed pair gap ends the solve only where the unshrunk
+solver's could.
+
+Each epoch ends with the relative duality gap (P_best - D) / P_best, with
+P_best the best primal objective so far and D = sum(alpha) - 0.5 ||w||^2.
+SMO keeps sum(alpha_i y_i) = 0, so D <= P* <= P_best whether or not rows
+were shrunk, and a gap at most ``SVMConfig.tolerance`` ends the solve with
+that certificate for the returned model (Shalev-Shwartz & Zhang 2013).
 
 An epoch is still n steps. Active rows keep their accumulated margins, so a
 solve that never shrinks a row follows rebuilding everything per step
@@ -53,7 +57,7 @@ _SHRINK_EVERY = 1000  # SMO steps between active-set checks, as in LIBSVM
 class SVMConfig:
     c: float = 1.0
     max_epochs: int = 1000
-    tolerance: float = 1e-6  # stop when per-epoch objective improvement drops below this
+    tolerance: float = 1e-2  # stop once the relative duality gap is at most this; in (0, 1)
     seed: int = 0  # kept for interface symmetry; the solver itself is deterministic
 
     def validate(self) -> None:
@@ -61,8 +65,8 @@ class SVMConfig:
             raise ConfigError(f"c must be finite and > 0, got {self.c}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and 0.0 < self.tolerance < 1.0):
+            raise ConfigError(f"tolerance must be finite and in (0, 1), got {self.tolerance}")
 
 
 @dataclass
@@ -71,7 +75,7 @@ class SVMModel:
     biases: np.ndarray  # (k,)
     class_names: list[str]
     objective_histories: list[list[float]]  # per class, best-so-far primal per epoch
-    # per solved class: epochs, steps, min_active, stop; not part of to_text()
+    # per solved class: epochs, steps, min_active, stop, dual_gap; not part of to_text()
     solves: dict[str, dict] = field(default_factory=dict)
 
     @property
@@ -118,7 +122,8 @@ def _solve_binary(x: np.ndarray, y_pm: np.ndarray, cfg: SVMConfig):
     set gives an infinite negative gap and ends the solve like a closed one.
 
     Returns (best_w, best_b, history, report); ``report`` holds the epochs,
-    the SMO steps, the smallest active-set size and the stop reason.
+    the SMO steps, the smallest active-set size, the stop reason and the
+    last epoch's relative duality gap.
     """
     n, p = x.shape
     c = cfg.c
@@ -164,7 +169,6 @@ def _solve_binary(x: np.ndarray, y_pm: np.ndarray, cfg: SVMConfig):
 
     for _ in range(cfg.max_epochs):
         taken = 0
-        shrunk = rows is not None  # did any step of this epoch run on part of the rows?
         while taken < n:
             if until_check == 0:
                 # Re-derive the active set from every row: drop a row that is
@@ -178,7 +182,6 @@ def _solve_binary(x: np.ndarray, y_pm: np.ndarray, cfg: SVMConfig):
                         | ((y_up == -np.inf) & (low_score > top)))
                 activate(~drop if top - bottom > _KKT_EPS else np.ones(n, dtype=bool))
                 min_active = min(min_active, len(fa))
-                shrunk = shrunk or rows is not None
 
             i = int(np.subtract(ya_up, fa, out=scores).argmax())
             top = scores[i]
@@ -223,21 +226,17 @@ def _solve_binary(x: np.ndarray, y_pm: np.ndarray, cfg: SVMConfig):
         obj = _primal_objective(x, y_pm, w, b, c)
         if obj < best_obj:
             best_obj, best_w, best_b = obj, w.copy(), b
-        improvement = history[-1] - best_obj if history else np.inf
         history.append(best_obj)
+        dual = float(alpha.sum()) - 0.5 * float(w @ w)
+        dual_gap = (best_obj - dual) / best_obj if best_obj else 0.0
         if taken < n:
             break
-        if improvement < cfg.tolerance:
-            if shrunk:
-                # Progress on part of the rows says little about the whole
-                # problem: run the next epoch on every row before stalling.
-                activate(np.ones(n, dtype=bool))
-                until_check = n
-                continue
-            stop = "stalled"
+        if dual_gap <= cfg.tolerance:
+            stop = "dual_gap"
             break
 
-    report = {"epochs": len(history), "steps": steps, "min_active": min_active, "stop": stop}
+    report = {"epochs": len(history), "steps": steps, "min_active": min_active, "stop": stop,
+              "dual_gap": dual_gap}
     return best_w, best_b, history, report
 
 

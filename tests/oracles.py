@@ -259,9 +259,10 @@ def reference_smo(x: np.ndarray, y_pm: np.ndarray, cfg):
         obj = svm_primal_objective(x, y_pm, w, b, c)
         if obj < best_obj:
             best_obj, best_w, best_b = obj, w.copy(), b
-        improvement = history[-1] - best_obj if history else np.inf
         history.append(best_obj)
-        if converged or improvement < cfg.tolerance:
+        dual = float(alpha.sum()) - 0.5 * float(w @ w)
+        dual_gap = (best_obj - dual) / best_obj if best_obj else 0.0
+        if converged or dual_gap <= cfg.tolerance:
             break
 
     return best_w, best_b, history

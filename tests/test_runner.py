@@ -210,7 +210,8 @@ def test_svm_report_reads_back_each_solve(tmp_path):
         assert 1 <= solve["epochs"] <= cfg.svm.max_epochs
         assert 0 < solve["steps"] <= solve["epochs"] * n_train
         assert 0 < solve["min_active"] <= n_train
-        assert solve["stop"] in ("gap", "no_step", "stalled", "epoch_budget")
+        assert solve["stop"] in ("gap", "no_step", "dual_gap", "epoch_budget")
+        assert solve["dual_gap"] >= 0.0
     assert any(s["min_active"] < n_train for s in report.values())
 
 
@@ -313,8 +314,9 @@ _PARENT_KFOLD = {  # (accuracy, macro F1) per fold, as recorded when each fold w
              [0.5243770250974793, 0.594, 0.2705768921741925]),
     "pca": ([0.5376884422110553, 0.5326633165829145, 0.535],
             [0.28900567634461194, 0.3116991488926845, 0.3213776326739645]),
-    "synthetic": ([0.6266666666666667, 0.6666666666666666, 0.76, 0.8],
-                  [0.5692307692307693, 0.6030563243677998, 0.6996983408748113, 0.7202060931899642]),
+    # fold 4 re-recorded when the SVM began to stop on its relative duality gap
+    "synthetic": ([0.6266666666666667, 0.6666666666666666, 0.76, 0.8133333333333334],
+                  [0.5692307692307693, 0.6030563243677998, 0.6996983408748113, 0.7471309097115549]),
 }
 
 

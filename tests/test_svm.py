@@ -175,24 +175,25 @@ def _absent_class_dataset():
 
 
 # sha256 of train_svm(...).to_text(). Only three_class_n2000 shrinks rows
-# that would have been picked again, so only its digest moved with shrinking;
-# the other three were recorded with the solver that rebuilt the gradient and
-# both index sets from scratch on every step.
+# that would have been picked again, so only its digest moved with shrinking.
+# Every case but c_1e-3_alphas_at_bound, which closes the pair gap in its
+# first epoch, was re-recorded when the relative duality gap became the
+# stopping rule.
 PINNED_SVM_DIGESTS = {
     "three_class_n2000": (
         lambda: gen_classification(SynthConfig(2000, 3, 5, 3, 1.5, seed=31))[0],
         SVMConfig(max_epochs=4),
-        "2230d532bb4a12df327c059db42db3cd7c85cde4313847cf54569fd5c67a39be"),
+        "3ceebe93d1d0fca4970f41776fd5e8aed39a3e2a4bf4c8c5256b607a46f0281a"),
     "c_1e-3_alphas_at_bound": (
         lambda: gen_classification(SynthConfig(400, 2, 3, 2, 1.0, seed=32))[0],
         SVMConfig(c=1e-3),
         "e70d7708fb448cd631ec91e8142e0d1d6df7325b99446496b3c3f38203bc458d"),
     "duplicated_rows_quad_clamped": (
         _duplicated_rows_dataset, SVMConfig(c=10.0),
-        "67e33a4bd76b9a1eda1d167111d2b3bde362d3e9b4dce5bc6077411fbea0637a"),
+        "b7b1d0fe6537749d73890f17ea976c09d3786c6a016fd3cfb2dee70a2fb9ec2c"),
     "absent_class": (
         _absent_class_dataset, SVMConfig(),
-        "69e23192b42d0d2e03ba866cf3f7b468b341d59fea705c827af7fc87c6a4a066"),
+        "a968d7bf227ae9b10294414dad5af3b9dd84ffd637964cb26d588beca5eb4496"),
 }
 
 
@@ -252,21 +253,25 @@ def test_solver_matches_reference_smo_bit_for_bit(solves_against_reference):
 
 
 # Shrunk instances of _smo_instances() that end more than 1e-3 above
-# reference_smo's objective, with the relative gap each one ends at.
+# reference_smo's objective, with the relative difference each one ends at.
+# Each stops on the epoch budget: shrinking changed the trajectory, and the
+# budget (2 to 30 epochs) ends each with a relative duality gap of
+# 0.014 to 0.48, before either is near the optimum. A solve that stops on
+# the duality gap cannot be here (test_dual_gap_stop_is_certified).
 SHRUNK_ABOVE_REFERENCE = {
-    # n=42, max_epochs=2: one row is shrunk for epoch 2, and the budget ends
-    # on another trajectory before either solve is near the optimum.
     137: 0.0610,
+    244: 0.0149,
+    280: 0.0027,
+    580: 0.0033,
+    596: 0.0143,
 }
 
 
 def test_shrunk_solves_end_no_worse_than_reference_smo(solves_against_reference):
-    """The other 200 instances shrink rows, which changes the trajectory, so
+    """The other 256 instances shrink rows, which changes the trajectory, so
     the final best objective is compared with reference_smo's at the same
-    budget. 163 agree within 1e-9 relative and 19 end more than 1e-3 below:
-    the reference stops when one epoch's primal objective, which is not
-    monotone, improves by less than the tolerance, where a shrunk solve first
-    runs one more epoch on every row. Only the instances listed in
+    budget. 228 agree within 1e-9 relative and 3 end more than 1e-3 below,
+    each at the epoch budget. Only the instances listed in
     SHRUNK_ABOVE_REFERENCE end more than 1e-3 above it."""
     rel = {}
     for k, (n, (_, _, history, report), (_, _, ref_history)) in enumerate(
@@ -278,6 +283,31 @@ def test_shrunk_solves_end_no_worse_than_reference_smo(solves_against_reference)
     assert sorted(above) == sorted(SHRUNK_ABOVE_REFERENCE)
     for k, r in above.items():
         assert r == pytest.approx(SHRUNK_ABOVE_REFERENCE[k], abs=1e-4), k
+
+
+def test_dual_gap_stop_is_certified(solves_against_reference):
+    """A solve that stops on the duality gap is within the tolerance of the
+    optimum, so no more than that above reference_smo's objective, shrunk or not."""
+    certified = 0
+    for (_, _, cfg), (_, (_, _, history, report), (_, _, ref_history)) in zip(
+            _smo_instances(), solves_against_reference):
+        assert report["stop"] in ("gap", "no_step", "dual_gap", "epoch_budget")
+        if report["stop"] == "dual_gap":
+            certified += 1
+            assert report["dual_gap"] <= cfg.tolerance
+            assert history[-1] <= ref_history[-1] / (1.0 - cfg.tolerance)
+    assert certified >= 50
+
+
+def test_reference_smo_does_not_stop_on_a_stalled_primal(solves_against_reference):
+    """Instances 339 and 378 once stopped reference_smo at 147.0834 and
+    100.4603, when one epoch's best primal objective, which can hold still
+    while the dual climbs, improved by less than an absolute tolerance. On
+    the duality gap both solvers reach the same optimum."""
+    for k, expected in ((339, 127.6573), (378, 76.3311)):
+        _, (_, _, history, _), (_, _, ref_history) = solves_against_reference[k]
+        assert abs(ref_history[-1] - history[-1]) <= 1e-9 * abs(history[-1]), k
+        assert ref_history[-1] == pytest.approx(expected, abs=1e-4), k
 
 
 def test_shrunk_rows_come_back_before_convergence():
@@ -300,3 +330,10 @@ def test_shrunk_rows_come_back_before_convergence():
 def test_non_finite_settings_rejected(settings):
     with pytest.raises(ConfigError, match="finite"):
         SVMConfig(**settings).validate()
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1.0])
+def test_tolerance_outside_the_unit_interval_rejected(tolerance):
+    # the relative duality gap is at most 1, so a tolerance of 1 certifies nothing
+    with pytest.raises(ConfigError, match=r"in \(0, 1\)"):
+        SVMConfig(tolerance=tolerance).validate()
