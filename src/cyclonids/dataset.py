@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, unreadable
-from .preprocess import _BLOCK_ROWS
+from .preprocess import _BLOCK_ROWS, Rows
 
 log = logging.getLogger(__name__)
 
@@ -498,31 +498,48 @@ class CategoricalEncoder:
             for col, values in zip(raw.schema.feature_columns(), raw.columns)
             if col.kind == CATEGORICAL}
 
-    def transform(self, raw: RawDataset) -> Dataset:
-        cols = raw.schema.feature_columns()
-        widths = [len(self.occurrences.get(c.name, {})) + 1
-                  if c.kind == CATEGORICAL and self.strategy == "onehot" else 1 for c in cols]
-        features = np.zeros((raw.n, sum(widths)))  # one-hot cells left unset stay 0
+    def feature_names(self, schema: DatasetSchema) -> list[str]:
+        """The names of the encoded columns, in order."""
         names: list[str] = []
-
-        for col, values, at in zip(cols, raw.columns, itertools.accumulate(widths, initial=0)):
-            if col.kind == NUMERIC:
-                features[:, at] = values
-                names.append(col.name)
-                continue
-
-            index = {tok: i for i, tok in enumerate(self.occurrences.get(col.name, {}))}
-            unknown = len(index)
-            codes = np.fromiter(map(index.get, values, itertools.repeat(unknown)), dtype=np.intp,
-                                count=len(values))
-            if self.strategy == "ordinal":
-                features[:, at] = codes
-                names.append(col.name)
+        for col in schema.feature_columns():
+            if col.kind == CATEGORICAL and self.strategy == "onehot":
+                names.extend([f"{col.name}={tok}" for tok in self.occurrences.get(col.name, {})]
+                             + [f"{col.name}={UNKNOWN_TOKEN}"])
             else:
-                features[np.arange(raw.n), at + codes] = 1.0
-                names.extend([f"{col.name}={tok}" for tok in index] + [f"{col.name}={UNKNOWN_TOKEN}"])
+                names.append(col.name)
+        return names
 
-        return Dataset(features=features, labels=raw.labels.copy(), feature_names=names,
+    def rows(self, raw: RawDataset) -> Rows:
+        """The encoded rows of ``raw``, which ``fill`` writes for any range of rows into a
+        buffer. Each categorical column's codes are computed here, once; only they and the
+        numeric columns are held, not the tokens."""
+        parts = []  # (first output column, one-hot width or 0, numeric values or codes)
+        at = 0
+        for col, values in zip(raw.schema.feature_columns(), raw.columns):
+            width = 0
+            if col.kind == CATEGORICAL:
+                index = {tok: i for i, tok in enumerate(self.occurrences.get(col.name, {}))}
+                values = np.fromiter(map(index.get, values, itertools.repeat(len(index))),
+                                     dtype=np.intp, count=len(values))
+                width = len(index) + 1 if self.strategy == "onehot" else 0
+            parts.append((at, width, values))
+            at += width or 1
+
+        def fill(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+            for at, width, values in parts:
+                if width:
+                    out[:, at:at + width] = 0.0
+                    out[np.arange(stop - start), at + values[start:stop]] = 1.0
+                else:
+                    out[:, at] = values[start:stop]
+            return out
+        return Rows(raw.n, at, fill)
+
+    def transform(self, raw: RawDataset) -> Dataset:
+        """Every row of ``raw`` encoded into one matrix: ``rows(raw)`` filled whole."""
+        rows = self.rows(raw)
+        return Dataset(features=rows.fill(0, rows.n, np.empty((rows.n, rows.p))),
+                       labels=raw.labels.copy(), feature_names=self.feature_names(raw.schema),
                        schema_id=raw.schema.id, class_names=list(raw.schema.class_names))
 
 

@@ -1,11 +1,14 @@
 """Principal component analysis of the rows it is given.
 
-Fit eigendecomposes the sample covariance of its input, summed over blocks
-of rows so that no centred copy of the input is made; ``transform``
-projects rows onto the leading components, one block of rows at a time
-into its output: a product over a whole split makes OpenBLAS start its
-worker threads, whose buffers then stay resident for the rest of the
-process. Both take rows that are already standardized: the runner fits the
+Fit eigendecomposes the sample covariance of its input, which it reads as
+``preprocess.Rows``, a block of rows at a time: once for the mean, then
+once for the centred cross-products, so no centred copy of the input is
+made. ``transform`` projects rows onto the leading components, one block of
+rows at a time into its output: a product over a whole split makes OpenBLAS
+start its worker threads, whose buffers then stay resident for the rest of
+the process. The runner hands both a split's rows as they are encoded and
+standardized, block by block, so no encoded split is ever built on the PCA
+path. Both take rows that are already standardized: the runner fits the
 run's only standardizer and applies it before selection, whatever the
 selector. Components are sorted by descending eigenvalue, and each loading
 column is sign-fixed so its largest-magnitude entry is non-negative, which
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .preprocess import _BLOCK_ROWS
+from .preprocess import _BLOCK_ROWS, Rows, as_rows, column_sums
 
 _EIG_CLAMP = -1e-10
 
@@ -42,22 +45,19 @@ class PCAModel:
         return "\n".join(lines)
 
 
-def fit_pca(x: np.ndarray) -> PCAModel:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise DataError(f"need a 2-D matrix with at least 2 rows, got shape {x.shape}")
-    # np.cov's centred cross-products, summed a block of rows at a time in one
-    # buffer, so no centred copy of the input exists. The blocked sum rounds
-    # differently from one product: about 1e-15 relative.
-    n, p = x.shape
-    mean = x.mean(axis=0)
-    cov = np.zeros((p, p))
-    buffer = np.empty((min(n, _BLOCK_ROWS), p))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = x[start:start + _BLOCK_ROWS]
-        block = np.subtract(rows, mean, out=buffer[:len(rows)])
-        cov += block.T @ block
-    cov *= np.true_divide(1, n - 1)
+def fit_pca(x: np.ndarray | Rows) -> PCAModel:
+    rows = as_rows(x, least=2)
+    # np.cov's centred cross-products, summed over blocks of ``_BLOCK_ROWS`` rows
+    # centred in place, so no centred copy of the input exists. The blocked sum
+    # rounds differently from one product: about 1e-15 relative.
+    mean = column_sums(rows) / rows.n
+    cov = np.zeros((rows.p, rows.p))
+    for _, block in rows.blocks(rows.summing_step()):
+        for start in range(0, len(block), _BLOCK_ROWS):
+            part = np.subtract(block[start:start + _BLOCK_ROWS], mean,
+                               out=block[start:start + _BLOCK_ROWS])
+            cov += part.T @ part
+    cov *= np.true_divide(1, rows.n - 1)
 
     eigenvalues, vectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
@@ -82,21 +82,20 @@ def fit_pca(x: np.ndarray) -> PCAModel:
     return PCAModel(loadings=vectors, eigenvalues=eigenvalues, explained_variance_ratio=ratios)
 
 
-def transform(model: PCAModel, m: np.ndarray, k: int) -> np.ndarray:
+def transform(model: PCAModel, m: np.ndarray | Rows, k: int) -> np.ndarray:
     """Project standardized rows onto the first k components, ``_BLOCK_ROWS`` rows at a time.
 
     Each output row is its input row's product with the same loadings, so
     the blocks give the rows that one whole-matrix product would."""
     if not 1 <= k <= model.p:
         raise ConfigError(f"k must be in [1, {model.p}], got {k}")
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != model.p:
-        raise DataError(f"matrix has {m.shape[1] if m.ndim == 2 else '?'} columns, "
-                        f"model expects {model.p}")
+    rows = as_rows(m)
+    if rows.p != model.p:
+        raise DataError(f"matrix has {rows.p} columns, model expects {model.p}")
     loadings = model.loadings[:, :k]
-    out = np.empty((len(m), k))
-    for start in range(0, len(m), _BLOCK_ROWS):
-        np.matmul(m[start:start + _BLOCK_ROWS], loadings, out=out[start:start + _BLOCK_ROWS])
+    out = np.empty((rows.n, k))
+    for start, block in rows.blocks(_BLOCK_ROWS):
+        np.matmul(block, loadings, out=out[start:start + len(block)])
     return out
 
 

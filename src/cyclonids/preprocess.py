@@ -4,17 +4,81 @@ Each column is shifted to zero mean and scaled to unit sample standard
 deviation (n-1 divisor). Constant columns are flagged and mapped to zeros
 instead of blowing up: intrusion datasets routinely contain columns that are
 constant on a subset.
+
+The fits here and in ``pca`` read their input as ``Rows``: an n x p matrix
+that is read a block of rows at a time into one reused buffer, so that a
+split can be encoded, standardized and summed block by block without ever
+existing whole. They take a matrix too, through ``as_rows``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DataError
 
 _BLOCK_ROWS = 4096  # rows a blocked loop here, in pca or in dataset works on at once
+
+
+@dataclass(frozen=True)
+class Rows:
+    """An n x p float64 matrix read a block at a time: ``fill(start, stop, out)`` writes its
+    rows start..stop into ``out`` and returns it. ``order`` is the layout of the buffers
+    they are read into: the matrix's own, so numpy sums a block as it would the matrix."""
+
+    n: int
+    p: int
+    fill: Callable[[int, int, np.ndarray], np.ndarray]
+    order: str = "C"
+
+    def blocks(self, step: int):
+        """(start, block) for each ``step`` rows in turn, each read into one buffer: a block
+        holds until the next is read, and may be overwritten."""
+        buffer = np.empty((min(self.n, step), self.p), order=self.order)
+        for start in range(0, self.n, step):
+            stop = min(start + step, self.n)
+            yield start, self.fill(start, stop, buffer[:stop - start])
+
+    def summing_step(self) -> int:
+        """Rows per block for which carried block sums are the matrix's own sums, bit for bit.
+
+        numpy reduces a C-contiguous matrix of two or more columns over axis 0
+        row after row, so ``_BLOCK_ROWS`` blocks, each block's first row
+        carrying the sum so far, add in the same order. A single column (or
+        another layout) it sums pairwise: one block of all rows then."""
+        return _BLOCK_ROWS if self.order == "C" and self.p > 1 else self.n
+
+
+def as_rows(m: np.ndarray | Rows, least: int = 1) -> Rows:
+    """``m`` as Rows, which must number at least ``least``: a matrix is copied into each block."""
+    if not isinstance(m, Rows):
+        matrix = np.asarray(m, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise DataError(f"need a 2-D matrix, got shape {matrix.shape}")
+
+        def fill(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+            out[...] = matrix[start:stop]
+            return out
+        m = Rows(len(matrix), matrix.shape[1], fill, "C" if matrix.flags.c_contiguous else "F")
+    if m.n < least:
+        raise DataError(f"need a 2-D matrix with at least {least} rows, got shape {(m.n, m.p)}")
+    return m
+
+
+def column_sums(rows: Rows, prepare=None) -> np.ndarray:
+    """Sum of each column, as ``numpy.sum(axis=0)`` of the matrix gives it, of the blocks
+    after ``prepare(block)``, if given, has changed each in place."""
+    total = None
+    for start, block in rows.blocks(rows.summing_step()):
+        if prepare is not None:
+            prepare(block)
+        if start:
+            block[0] += total
+        total = np.add.reduce(block, axis=0)
+    return total
 
 
 @dataclass(frozen=True)
@@ -34,32 +98,24 @@ class Standardizer:
         return "\n".join(lines)
 
 
-def fit_standardizer(m: np.ndarray) -> Standardizer:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 2:
-        raise DataError(f"need a 2-D matrix with at least 2 rows, got shape {m.shape}")
-    means = m.mean(axis=0)
-    # m.std(axis=0, ddof=1) without its n x p temporary: the squared deviations
-    # are summed a block of rows at a time, each block's first row carrying
-    # the sum so far. numpy reduces a C-contiguous matrix of two or more
-    # columns over axis 0 row after row, so this is the same sum, bit for bit.
-    # A single column (or another layout) it sums pairwise: one block then.
-    # Each block of deviations goes into one buffer laid out like m, as
-    # ``m - means`` would be.
-    n, p = m.shape
-    step = _BLOCK_ROWS if m.flags.c_contiguous and p > 1 else n
-    total = np.zeros(p)
-    buffer = np.empty_like(m, shape=(min(n, step), p))
-    for start in range(0, n, step):
-        rows = m[start:start + step]
-        block = np.subtract(rows, means, out=buffer[:len(rows)])
+def fit_standardizer(m: np.ndarray | Rows) -> Standardizer:
+    """Fit on the rows of a matrix or of ``Rows``, which are read twice: once for each
+    column's sum, then once for its squared deviations, max and min."""
+    rows = as_rows(m, least=2)
+    means = column_sums(rows) / rows.n
+    high, low = np.full(rows.p, -np.inf), np.full(rows.p, np.inf)
+
+    def squared_deviations(block: np.ndarray) -> None:
+        np.maximum(high, block.max(axis=0), out=high)
+        np.minimum(low, block.min(axis=0), out=low)
+        np.subtract(block, means, out=block)
         np.multiply(block, block, out=block)
-        block[0] += total
-        total = np.add.reduce(block, axis=0)
-    stds = np.sqrt(total / (n - 1))
+
+    # m.std(axis=0, ddof=1) without its n x p temporary, summed as the means were.
+    stds = np.sqrt(column_sums(rows, squared_deviations) / (rows.n - 1))
     # A constant column must be flagged even when summation round-off keeps
     # the computed std a hair above zero; max == min is the exact test.
-    flags = m.max(axis=0) == m.min(axis=0)
+    flags = high == low
     stds = np.where(flags, 1.0, stds)
     return Standardizer(means=means, stds=stds, zero_variance_flags=flags)
 
@@ -78,3 +134,15 @@ def transform(s: Standardizer, m: np.ndarray, out: np.ndarray | None = None) -> 
     if s.zero_variance_flags.any():
         out[:, s.zero_variance_flags] = 0.0
     return out
+
+
+def standardized(s: Standardizer, rows: Rows) -> Rows:
+    """``rows`` read through ``transform`` in place, each block checked to be finite: a
+    finite input can still overflow a column sum, and its standardized rows are NaN. The
+    check reads the block's min and max, which NaN and inf reach, so it needs no array."""
+    def fill(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        block = transform(s, rows.fill(start, stop, out), out=out)
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            raise DataError("feature matrix contains NaN or infinite entries")
+        return block
+    return Rows(rows.n, rows.p, fill, rows.order)

@@ -228,7 +228,8 @@ def _solve_binary(x: np.ndarray, y_pm: np.ndarray, cfg: SVMConfig):
             best_obj, best_w, best_b = obj, w.copy(), b
         history.append(best_obj)
         dual = float(alpha.sum()) - 0.5 * float(w @ w)
-        dual_gap = (best_obj - dual) / best_obj if best_obj else 0.0
+        # A closed pair gap can leave D a rounding error above P_best: report 0 then.
+        dual_gap = max((best_obj - dual) / best_obj, 0.0) if best_obj else 0.0
         if taken < n:
             break
         if dual_gap <= cfg.tolerance:

@@ -3,9 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cyclonids.dataset import (NUMERIC, CategoricalEncoder, RawDataset, kdd99_schema,
+                               synthetic_schema)
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.pca import _BLOCK_ROWS, PCAModel, feature_salience, fit_pca, select_components, transform
-from cyclonids.preprocess import fit_standardizer
+from cyclonids.preprocess import fit_standardizer, standardized
 from cyclonids.preprocess import transform as standardize
 from oracles import power_iteration_eigenvalues
 
@@ -225,3 +227,75 @@ def test_transform_projects_a_block_of_rows_at_a_time(monkeypatch):
     expected = m @ model.loadings[:, :k]
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _raw(schema, n, seed):
+    """n parsed rows in ``schema``'s layout: numeric columns whose values span six orders
+    of magnitude (so the order of a sum shows in its bits), one of them constant, and
+    tokens from small vocabularies."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for j, col in enumerate(schema.feature_columns()):
+        if col.kind == NUMERIC:
+            columns.append(np.full(n, 7.25) if j == 5 else
+                           rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n) + rng.uniform(-50, 50))
+        else:
+            tokens = np.array([f"{col.name}{v}" for v in range(int(rng.integers(2, 30)))], dtype=object)
+            columns.append(tokens[rng.integers(len(tokens), size=n)])
+    return RawDataset(schema, columns, rng.integers(len(schema.class_names), size=n))
+
+
+def _blocked_covariance(z):
+    """np.cov(z, rowvar=False), its centred cross-products summed over blocks of
+    ``_BLOCK_ROWS`` rows of the whole matrix."""
+    mean = z.mean(axis=0)
+    cov = np.zeros((z.shape[1], z.shape[1]))
+    for start in range(0, len(z), _BLOCK_ROWS):
+        block = z[start:start + _BLOCK_ROWS] - mean
+        cov += block.T @ block
+    cov *= np.true_divide(1, len(z) - 1)
+    return cov
+
+
+@pytest.mark.parametrize("n", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("layout", ["kdd99", "one_column"])
+def test_fit_from_encoded_blocks_matches_the_whole_matrix(monkeypatch, n, layout):
+    """The PCA path's fit, which reads the split encoded and standardized a block at a
+    time, gives the standardizer and the PCA model that the whole encoded matrix gives,
+    bit for bit, at and around the block boundaries: numpy's own column means and
+    standard deviations, and the covariance summed over blocks of the whole matrix.
+    One column numpy sums pairwise, so it is read in one block of all rows."""
+    schema = kdd99_schema() if layout == "kdd99" else synthetic_schema(["f0"], ["a", "b"])
+    raw = _raw(schema, n, seed=n)
+    encoder = CategoricalEncoder("onehot", raw)
+    rows = encoder.rows(raw)
+    matrix = encoder.transform(raw).features
+    assert matrix.shape == (n, 1 if layout == "one_column" else rows.p)
+
+    whole, blocked = fit_standardizer(matrix), fit_standardizer(rows)
+    assert blocked.to_text() == whole.to_text()
+    assert np.array_equal(blocked.means, matrix.mean(axis=0))
+    assert np.array_equal(blocked.stds, np.where(blocked.zero_variance_flags, 1.0,
+                                                 matrix.std(axis=0, ddof=1)))
+    z = standardize(whole, matrix)
+    covariances, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda cov: covariances.append(cov.copy()) or eigh(cov))
+    whole_model, blocked_model = fit_pca(z), fit_pca(standardized(blocked, rows))
+    assert blocked_model.to_text() == whole_model.to_text()
+    assert covariances[1].tobytes() == _blocked_covariance(z).tobytes()
+    k = max(1, blocked_model.p // 3)
+    assert (transform(blocked_model, standardized(blocked, rows), k).tobytes()
+            == transform(whole_model, z, k).tobytes())
+
+
+@pytest.mark.parametrize("strategy", ["onehot", "ordinal"])
+def test_encoder_fills_any_row_range_as_transform_encodes_it(strategy):
+    raw = _raw(kdd99_schema(), 3 * _BLOCK_ROWS + 5, seed=4)
+    fitted_on = RawDataset(raw.schema, [c[:500] for c in raw.columns], raw.labels[:500])
+    encoder = CategoricalEncoder(strategy, fitted_on)  # later rows hold unseen tokens too
+    rows, matrix = encoder.rows(raw), encoder.transform(raw).features
+    assert (rows.n, rows.p) == matrix.shape
+    buffer = np.full((_BLOCK_ROWS + 9, rows.p), np.nan)
+    for start, stop in ((0, 1), (3, 700), (_BLOCK_ROWS - 2, 2 * _BLOCK_ROWS + 7), (rows.n - 4, rows.n)):
+        out = rows.fill(start, stop, buffer[:stop - start])
+        assert out.tobytes() == matrix[start:stop].tobytes()

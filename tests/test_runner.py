@@ -94,7 +94,14 @@ def test_each_split_is_encoded_once_and_the_test_split_after_training(monkeypatc
             return result
         return call
 
-    monkeypatch.setattr(runner, "encode_categoricals", logged("encode", runner.encode_categoricals))
+    if selector == "pca":
+        # No encoded split is built: each split's codes are computed once, and its
+        # rows are encoded from them a block at a time.
+        rows = CategoricalEncoder.rows
+        monkeypatch.setattr(CategoricalEncoder, "rows",
+                            lambda encoder, raw: logged("encode", lambda r: rows(encoder, r))(raw))
+    else:
+        monkeypatch.setattr(runner, "encode_categoricals", logged("encode", runner.encode_categoricals))
     monkeypatch.setattr(forest_mod, "train_forest_xy", logged("train", forest_mod.train_forest_xy))
     monkeypatch.setattr(svm_mod, "train_svm", logged("train", svm_mod.train_svm))
     monkeypatch.setattr(forest_mod, "predict", logged("predict", forest_mod.predict))
@@ -107,23 +114,35 @@ def test_each_split_is_encoded_once_and_the_test_split_after_training(monkeypatc
 @pytest.mark.parametrize("selector", ["none", "boruta", "pca"])
 def test_one_standardizer_per_run_applied_to_raw_rows(monkeypatch, selector):
     fit, transform = preprocess.fit_standardizer, preprocess.transform
-    fits, outputs, restandardized = [], [], []
+    fits, inputs, outputs, restandardized = [], [], [], []
 
     def counting_fit(m):
-        fits.append(m.shape)
+        fits.append((m.n, m.p) if isinstance(m, preprocess.Rows) else m.shape)
         return fit(m)
 
     def checking_transform(s, m, out=None):
+        inputs.append(np.array(m))
         restandardized.append(any(np.shares_memory(m, out) for out in outputs))
         outputs.append(transform(s, m))
         return outputs[-1]
 
     monkeypatch.setattr(preprocess, "fit_standardizer", counting_fit)
     monkeypatch.setattr(preprocess, "transform", checking_transform)
-    rec = run_experiment(_cfg(selector=selector))
+    cfg = _cfg(selector=selector)
+    rec = run_experiment(cfg)
     assert fits == [(rec.dataset_summary["n_train"], rec.dataset_summary["n_features"])]
-    assert len(outputs) == 2, "one standardization per split"
-    assert not any(restandardized)
+    if selector != "pca":
+        assert len(outputs) == 2, "one standardization per split"
+        assert not any(restandardized)
+        return
+    # PCA reads its splits a block at a time into one reused buffer, standardizing
+    # each block as it is read: the training split once for PCA's mean, once for its
+    # covariance and once for the projection, then the test split once. Every block
+    # standardized is freshly encoded rows, in order, never a standardized one.
+    data, _ = gen_classification(cfg.synth)
+    pair = split(data, cfg.test_fraction, cfg.seed)
+    read = [pair.train.features] * 3 + [pair.test.features]
+    assert np.concatenate(inputs).tobytes() == np.concatenate(read).tobytes()
 
 
 def test_no_leakage_digests_match_train_only_refit():
@@ -572,3 +591,23 @@ def test_even_split_pca_run_holds_one_split_matrix_at_a_time(tmp_path):
     assert rec.selector_report["components_retained"] > 0.8 * rec.dataset_summary["n_features"]
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
     assert peak < 1.4 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
+
+
+def test_pca_run_builds_no_encoded_split(tmp_path):
+    path = str(tmp_path / "kdd.csv")
+    _write_kdd_like(path, 20000)
+    cfg = _kdd_cfg(path, "pca")
+    cfg.pca_threshold = 0.1
+    tracemalloc.start()
+    try:
+        rec = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each split is read encoded and standardized 4,096 rows at a time, so the
+    # run holds the parsed rows, one block and the k-column projections. The
+    # peak, about 0.82, is in split, which holds the parsed rows twice.
+    # Encoding the whole training split read 1.24.
+    assert rec.selector_report["components_retained"] < 0.1 * rec.dataset_summary["n_features"]
+    matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
+    assert peak < 1.0 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
