@@ -160,7 +160,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
+        with open(args.config, "r", encoding="utf-8-sig") as handle:
             lines = [ln.strip() for ln in handle]
     except OSError as exc:
         raise unreadable(args.config, exc) from None

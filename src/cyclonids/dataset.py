@@ -7,7 +7,9 @@ its header on the way; it produces the same in-memory representation as the
 generated ``--synth`` rows, so the rest of the pipeline never cares where
 rows came from. A run splits those parsed rows first and then encodes each
 split with the vocabulary of the training split alone, so no feature matrix
-of the whole file is ever built.
+of the whole file is ever built. ``encode_categoricals`` gives a split's
+rows as ``Blocks``, encoded a block at a time from codes computed once per
+split, which ``Blocks.dataset()`` fills into one matrix.
 """
 
 from __future__ import annotations
@@ -363,7 +365,8 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
     is that class, and any other goes through the case-folded ``label_map``.
     Rows whose numeric fields do not parse (or parse to NaN/inf) are dropped
     and their 1-based line numbers recorded in ``rejected_rows``. A wrong
-    field count, an unmapped label or a byte that is not UTF-8 aborts the load.
+    field count, an unmapped label, an inferred header naming a column twice
+    or a byte that is not UTF-8 aborts the load; a byte-order mark is skipped.
 
     Memory: the numeric fields of kept rows fill one float64 block, and the
     returned numeric columns are views of it. Rows with a NaN or inf field
@@ -376,7 +379,7 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
     codes: dict[str, int] = {}  # raw label token -> class index (first-seen index if inferred)
     classes: dict[str, int] = {}  # inferred class name -> first-seen index
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             records = ((lineno, row) for lineno, row in enumerate(csv.reader(handle), start=1)
                        if row and (len(row) > 1 or row[0].strip()))
             lineno, row = next(records, (0, []))
@@ -384,6 +387,9 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
             if infer and len(row) < 2:
                 raise DataError(f"cannot infer synthetic schema from {path}")
             if infer:
+                twice = next((name for name, seen in Counter(row[:-1]).items() if seen > 1), None)
+                if twice is not None:
+                    raise DataError(f"{path}: the header at line {lineno} names column '{twice}' twice")
                 schema = synthetic_schema(row[:-1], [])
             feature_cols = schema.feature_columns()
             numeric_pos = [c.position for c in feature_cols if c.kind == NUMERIC]
@@ -535,24 +541,39 @@ class CategoricalEncoder:
             return out
         return Rows(raw.n, at, fill)
 
-    def transform(self, raw: RawDataset) -> Dataset:
-        """Every row of ``raw`` encoded into one matrix: ``rows(raw)`` filled whole."""
-        rows = self.rows(raw)
+
+@dataclass(frozen=True)
+class Blocks:
+    """A split whose ``features`` are ``Rows``, read a block at a time: encoded, and after
+    the runner's standardize stage standardized too. ``dataset()`` fills one Dataset."""
+
+    features: Rows
+    labels: np.ndarray
+    feature_names: list[str]
+    schema_id: str
+    class_names: list[str]
+
+    n = property(lambda self: self.features.n)
+    p = property(lambda self: self.features.p)
+
+    def dataset(self) -> Dataset:
+        rows = self.features
         return Dataset(features=rows.fill(0, rows.n, np.empty((rows.n, rows.p))),
-                       labels=raw.labels.copy(), feature_names=self.feature_names(raw.schema),
-                       schema_id=raw.schema.id, class_names=list(raw.schema.class_names))
+                       labels=self.labels.copy(), feature_names=list(self.feature_names),
+                       schema_id=self.schema_id, class_names=list(self.class_names))
 
 
-def encode_categoricals(raw: RawDataset, encoder: CategoricalEncoder | str = "onehot") -> Dataset:
-    """Encode every row of ``raw`` with a fitted encoder, or with a new encoder of the
-    named strategy fitted on ``raw`` itself.
+def encode_categoricals(raw: RawDataset, encoder: CategoricalEncoder | str = "onehot") -> Blocks:
+    """The rows of ``raw`` encoded, a block at a time, with a fitted encoder, or with a new
+    encoder of the named strategy fitted on ``raw`` itself.
 
     Tokens the encoder did not see at fit time go to the unknown column
     (onehot) or the reserved code (ordinal).
     """
     if isinstance(encoder, str):
         encoder = CategoricalEncoder(encoder, raw)
-    return encoder.transform(raw)
+    return Blocks(encoder.rows(raw), raw.labels, encoder.feature_names(raw.schema),
+                  raw.schema.id, raw.class_names)
 
 
 # --------------------------------------------------------------------------

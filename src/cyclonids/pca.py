@@ -7,12 +7,12 @@ made. ``transform`` projects rows onto the leading components, one block of
 rows at a time into its output: a product over a whole split makes OpenBLAS
 start its worker threads, whose buffers then stay resident for the rest of
 the process. The runner hands both a split's rows as they are encoded and
-standardized, block by block, so no encoded split is ever built on the PCA
-path. Both take rows that are already standardized: the runner fits the
-run's only standardizer and applies it before selection, whatever the
-selector. Components are sorted by descending eigenvalue, and each loading
-column is sign-fixed so its largest-magnitude entry is non-negative, which
-makes results deterministic for one BLAS build and thread count.
+standardized, block by block, so no split is ever built on the PCA path.
+Both take rows that are already standardized: the runner fits the run's
+only standardizer and applies it before selection, whatever the selector.
+Components are sorted by descending eigenvalue, and each loading column is
+sign-fixed so its largest-magnitude entry is non-negative, which makes
+results deterministic for one BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -52,11 +52,9 @@ def fit_pca(x: np.ndarray | Rows) -> PCAModel:
     # rounds differently from one product: about 1e-15 relative.
     mean = column_sums(rows) / rows.n
     cov = np.zeros((rows.p, rows.p))
-    for _, block in rows.blocks(rows.summing_step()):
-        for start in range(0, len(block), _BLOCK_ROWS):
-            part = np.subtract(block[start:start + _BLOCK_ROWS], mean,
-                               out=block[start:start + _BLOCK_ROWS])
-            cov += part.T @ part
+    for _, block in rows.blocks(_BLOCK_ROWS):
+        np.subtract(block, mean, out=block)
+        cov += block.T @ block
     cov *= np.true_divide(1, rows.n - 1)
 
     eigenvalues, vectors = np.linalg.eigh(cov)

@@ -8,7 +8,8 @@ constant on a subset.
 The fits here and in ``pca`` read their input as ``Rows``: an n x p matrix
 that is read a block of rows at a time into one reused buffer, so that a
 split can be encoded, standardized and summed block by block without ever
-existing whole. They take a matrix too, through ``as_rows``.
+existing whole. They take a matrix too, through ``as_rows``. The runner
+reads every split's encoded rows through ``standardized``.
 """
 
 from __future__ import annotations
@@ -42,15 +43,6 @@ class Rows:
             stop = min(start + step, self.n)
             yield start, self.fill(start, stop, buffer[:stop - start])
 
-    def summing_step(self) -> int:
-        """Rows per block for which carried block sums are the matrix's own sums, bit for bit.
-
-        numpy reduces a C-contiguous matrix of two or more columns over axis 0
-        row after row, so ``_BLOCK_ROWS`` blocks, each block's first row
-        carrying the sum so far, add in the same order. A single column (or
-        another layout) it sums pairwise: one block of all rows then."""
-        return _BLOCK_ROWS if self.order == "C" and self.p > 1 else self.n
-
 
 def as_rows(m: np.ndarray | Rows, least: int = 1) -> Rows:
     """``m`` as Rows, which must number at least ``least``: a matrix is copied into each block."""
@@ -70,9 +62,14 @@ def as_rows(m: np.ndarray | Rows, least: int = 1) -> Rows:
 
 def column_sums(rows: Rows, prepare=None) -> np.ndarray:
     """Sum of each column, as ``numpy.sum(axis=0)`` of the matrix gives it, of the blocks
-    after ``prepare(block)``, if given, has changed each in place."""
+    after ``prepare(block)``, if given, has changed each in place.
+
+    numpy reduces a C-contiguous matrix of two or more columns over axis 0
+    row after row, so ``_BLOCK_ROWS`` blocks, each block's first row carrying
+    the sum so far, add in the same order. A single column (or another
+    layout) it sums pairwise: one block of all rows then."""
     total = None
-    for start, block in rows.blocks(rows.summing_step()):
+    for start, block in rows.blocks(_BLOCK_ROWS if rows.order == "C" and rows.p > 1 else rows.n):
         if prepare is not None:
             prepare(block)
         if start:

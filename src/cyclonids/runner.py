@@ -6,19 +6,21 @@ over the training split, then an apply pass over the test split. The fit
 pass encodes the training rows (vocabulary from them only), fits the
 standardizer, the selector and the classifier on them in that order, and
 drops the training matrix; the apply pass encodes the test rows and runs
-them through the fitted stages to predictions and evaluation. No feature
-matrix of the whole input is ever built, each split is standardized in
-place, and each matrix goes after its last use. The PCA path never builds
-an encoded split at all: each pass reads its split encoded and standardized
-4,096 rows at a time into one buffer, so the standardizer, PCA's mean and
-covariance and the projection are fitted and applied block by block. The
-runner fits the run's only standardizer, whatever the selector, and the
-selector and the classifier see only standardized rows. No statistic of the
-test split ever reaches a fitted component, and every random stage is
-seeded, so for one BLAS build and thread count a config reproduces its
-report apart from wall-clock timings. k-fold runs the same post-split
-pipeline per fold, refitting everything, the encoder included, on that
-fold's training rows, and keeps only each fold's scores.
+them through the fitted stages to predictions and evaluation. Every
+selector takes the same path to that point: ``encode_categoricals`` gives a
+split's rows encoded a block at a time, the standardizer is fitted from
+those blocks, and each split is then read standardized as it is encoded.
+Without PCA it is read once, into the one matrix the selector and the
+classifier take; PCA fits and projects the blocks as they are read, so its
+path never builds a split. No feature matrix of the whole input is ever
+built, and each matrix goes after its last use. The runner fits the run's
+only standardizer, whatever the selector, and the selector and the
+classifier see only standardized rows. No statistic of the test split ever
+reaches a fitted component, and every random stage is seeded, so for one
+BLAS build and thread count a config reproduces its report apart from
+wall-clock timings. k-fold runs the same post-split pipeline per fold,
+refitting everything, the encoder included, on that fold's training rows,
+and keeps only each fold's scores.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from . import pca as pca_mod
 from . import preprocess
 from . import svm as svm_mod
 from .boruta import BorutaConfig
-from .dataset import (CategoricalEncoder, Dataset, RawDataset, class_distribution,
+from .dataset import (Blocks, CategoricalEncoder, Dataset, RawDataset, class_distribution,
                       encode_categoricals, load_csv, numeric_schema, schema_by_name, split)
 from .errors import ConfigError, DataError
 from .forest import ForestConfig
@@ -180,45 +182,20 @@ def _summary(parsed: dict, sizes: dict, encoder: CategoricalEncoder) -> dict:
     }
 
 
-@dataclasses.dataclass(frozen=True)
-class _Blocks:
-    """A split on the PCA path, where no matrix of it is built: its ``features`` are Rows
-    that encode it, and after the standardize stage standardize it, a block at a time."""
-
-    features: preprocess.Rows
-    labels: np.ndarray
-    feature_names: list[str]
-    schema_id: str
-    class_names: list[str]
-
-    n = property(lambda self: self.features.n)
-    p = property(lambda self: self.features.p)
-
-
-def _encoded(cfg: ExperimentConfig, encoder: CategoricalEncoder, raw: RawDataset) -> Dataset | _Blocks:
-    """``raw`` encoded: as rows read a block at a time for PCA, as one matrix otherwise."""
-    if cfg.selector != "pca":
-        return encode_categoricals(raw, encoder)
-    return _Blocks(encoder.rows(raw), raw.labels, encoder.feature_names(raw.schema),
-                   raw.schema.id, raw.class_names)
-
-
-def _standardized(standardizer: preprocess.Standardizer, d: Dataset | _Blocks) -> Dataset | _Blocks:
-    """``d`` standardized in its own matrix, or as it is read. An encoded split is held by the
-    run alone, so nothing else sees the matrix change; the new Dataset checks it and marks
-    it read-only."""
-    if isinstance(d, _Blocks):
-        return dataclasses.replace(d, features=preprocess.standardized(standardizer, d.features))
-    m = d.features
-    m.setflags(write=True)
-    return dataclasses.replace(d, features=preprocess.transform(standardizer, m, out=m))
+def _standardized(cfg: ExperimentConfig, standardizer: preprocess.Standardizer,
+                  d: Blocks) -> Dataset | Blocks:
+    """``d`` read through ``standardizer``. PCA sums and projects the standardized rows a
+    block at a time; the other selectors and the classifiers take them filled into one
+    matrix."""
+    d = dataclasses.replace(d, features=preprocess.standardized(standardizer, d.features))
+    return d if cfg.selector == "pca" else d.dataset()
 
 
 def _finite_or_none(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
-def _select_stage(cfg: ExperimentConfig, train: Dataset | _Blocks):
+def _select_stage(cfg: ExperimentConfig, train: Dataset | Blocks):
     """Fit the selector on the standardized training split.
 
     Returns (selector report dict, fitted selector object or None, the
@@ -311,9 +288,9 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
 
     ``halves`` = [train, test] parsed rows. Each pass pops its split's rows, so the
     caller's list keeps neither alive once it is encoded, and the training matrix goes
-    before the test rows are encoded: at most one split's matrix exists at a time. On
-    the PCA path only the projections are built, and the training split's numeric
-    columns and codes go once its projection exists.
+    before the test rows are encoded: at most one split's matrix exists at a time. A
+    split's numeric columns and codes go once its matrix, or on the PCA path its
+    projection, exists.
 
     Returns the test split's evaluation and ``record(parsed)``, which builds the holdout
     run's RunRecord from the fitted components: only that serializes a model, so a
@@ -321,12 +298,12 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
     with _clock(timings, "encode"):
         raw = halves.pop(0)
         encoder = CategoricalEncoder(cfg.resolved_encoding(), raw)
-        train = _encoded(cfg, encoder, raw)
+        train = encode_categoricals(raw, encoder)
         del raw
         sizes = {"n_features": train.p, "n_train": train.n, "n_test": halves[0].n}
     with _clock(timings, "standardize"):
         standardizer = preprocess.fit_standardizer(train.features)
-        train = _standardized(standardizer, train)
+        train = _standardized(cfg, standardizer, train)
     with _clock(timings, "select"):
         selector_report, selector_obj, select = _select_stage(cfg, train)
         train = select(train)
@@ -344,9 +321,9 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
         del train
 
     with _clock(timings, "encode"):
-        test = _encoded(cfg, encoder, halves.pop())
+        test = encode_categoricals(halves.pop(), encoder)
     with _clock(timings, "standardize"):
-        test = _standardized(standardizer, test)
+        test = _standardized(cfg, standardizer, test)
     with _clock(timings, "select"):
         test = select(test)
     with _clock(timings, "predict"):

@@ -196,7 +196,7 @@ def test_criterion_7_ugransome():
     svm_rec = run_experiment(ExperimentConfig.make(
         schema="ugransome", data_path=path, classifier="svm", seed=42))
 
-    d = encode_categoricals(load_csv(path, ugransome_schema()), "ordinal")
+    d = encode_categoricals(load_csv(path, ugransome_schema()), "ordinal").dataset()
     boruta_res = run_boruta(d, BorutaConfig(max_iterations=20, seed=42))
 
     classes = set(rf_rec.evaluation.matrix.class_names)
@@ -214,7 +214,7 @@ def test_criterion_8_kdd99_sanity():
     if path is None:
         _skip("8 (kdd99 sanity)", f"no {os.path.join(DATA_DIR, 'kdd99.csv')}")
     start = time.perf_counter()
-    d = encode_categoricals(load_csv(path, kdd99_schema()), "ordinal")
+    d = encode_categoricals(load_csv(path, kdd99_schema()), "ordinal").dataset()
     dist = class_distribution(d)
     share = (dist["DoS"] + dist["Normal"]) / d.n
     elapsed = time.perf_counter() - start

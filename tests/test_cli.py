@@ -195,6 +195,26 @@ def test_compare_non_utf8_config_exits_3_naming_the_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_compare_config_with_a_byte_order_mark_runs(tmp_path, capsys):
+    config = tmp_path / "experiments.txt"
+    config.write_bytes(b"\xef\xbb\xbf--schema synthetic --synth n=200,inf=2,noise=1,classes=2,sep=10,seed=5 "
+                       b"--classifier rf --name marked\n")
+    code = main(["compare", "--config", str(config)])
+    assert code == 0, capsys.readouterr().err
+    assert "marked" in capsys.readouterr().out
+
+
+def test_run_synthetic_header_naming_a_column_twice_exits_3(tmp_path, capsys):
+    rows = [f"{0.1 * i!r},{i % 2 + 0.05 * i!r},{'xy'[i % 2]}" for i in range(40)]
+    path = tmp_path / "twice.csv"
+    path.write_text("a,a,label\n" + "\n".join(rows) + "\n")
+    code = main(["run", "--schema", "synthetic", "--data", str(path), "--selector", "boruta"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "line 1 names column 'a' twice" in err
+    assert "Traceback" not in err
+
+
 def test_compare_line_with_an_unclosed_quote_exits_2(tmp_path, capsys):
     line = '--schema synthetic --synth n=200,inf=2,noise=1,classes=2,sep=10,seed=5 --name "open'
     config = tmp_path / "experiments.txt"

@@ -180,6 +180,37 @@ def test_synthetic_whitespace_line_adds_no_class(tmp_path):
     assert raw.labels.tolist() == [0, 1]
 
 
+def test_synthetic_header_naming_a_column_twice_is_an_error(tmp_path):
+    path = _write(tmp_path, "s.csv", "a,a,label\n0.5,1.5,x\n0.25,-1.0,y\n")
+    with pytest.raises(DataError, match=r"line 1 names column 'a' twice"):
+        load_csv(path, None)
+
+
+def _write_with_bom(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return str(path)
+
+
+def test_byte_order_mark_does_not_make_the_first_kdd_row_a_header(tmp_path):
+    rows = [_kdd_row(("neptune.", "normal.")[i % 2]) for i in range(50)]
+    raw = load_csv(_write_with_bom(tmp_path, "kdd.csv", "\n".join(rows) + "\n"), kdd99_schema())
+    assert raw.n == 50
+    assert raw.rejected_rows == []
+    assert raw.columns[0][0] == 0.0
+
+
+def test_byte_order_mark_is_not_part_of_the_first_ugransome_label(tmp_path):
+    rows = [UGRANSOME_ROW.replace("SS,", label + ",", 1) for label in ("S", "A", "SS")]
+    raw = load_csv(_write_with_bom(tmp_path, "ug.csv", "\n".join(rows) + "\n"), ugransome_schema())
+    assert [raw.class_names[code] for code in raw.labels] == ["Signature", "Anomaly", "SyntheticSignature"]
+
+
+def test_byte_order_mark_is_not_part_of_the_first_synthetic_feature_name(tmp_path):
+    raw = load_csv(_write_with_bom(tmp_path, "s.csv", "f0,f1,label\n0.5,1.5,a\n0.25,-1.0,b\n"), None)
+    assert raw.schema == synthetic_schema(["f0", "f1"], ["a", "b"])
+
+
 # ---------------------------------------------------------------- reference loader
 
 _BAD_NUMERIC = ("nan", "NaN", "-inf", "inf", "1e999", "?", "", "-", "1.2.3", "0x1f", "n/a")
@@ -372,7 +403,7 @@ def _token_raw(tokens):
 def test_onehot_example(tmp_path):
     schema, rows = _token_raw(["TCP", "UDP", "TCP"])
     path = _write(tmp_path, "ug.csv", "\n".join(rows) + "\n")
-    d = encode_categoricals(load_csv(path, schema), "onehot")
+    d = encode_categoricals(load_csv(path, schema), "onehot").dataset()
     cols = [i for i, n in enumerate(d.feature_names) if n.startswith("protocol=")]
     block = d.features[:, cols]
     assert d.feature_names[cols[0]] == "protocol=TCP"
@@ -384,7 +415,7 @@ def test_onehot_example(tmp_path):
 def test_ordinal_example(tmp_path):
     schema, rows = _token_raw(["TCP", "UDP", "TCP"])
     path = _write(tmp_path, "ug.csv", "\n".join(rows) + "\n")
-    d = encode_categoricals(load_csv(path, schema), "ordinal")
+    d = encode_categoricals(load_csv(path, schema), "ordinal").dataset()
     col = d.feature_names.index("protocol")
     assert d.features[:, col].tolist() == [0.0, 1.0, 0.0]
 
@@ -394,7 +425,7 @@ def test_unseen_token_routes_to_unknown_bucket(tmp_path):
     fit_path = _write(tmp_path, "fit.csv", "\n".join(fit_rows) + "\n")
     new_path = _write(tmp_path, "new.csv", UGRANSOME_ROW.replace("TCP", "ICMP") + "\n")
     encoder = CategoricalEncoder("onehot", load_csv(fit_path, schema))
-    d = encoder.transform(load_csv(new_path, schema))
+    d = encode_categoricals(load_csv(new_path, schema), encoder).dataset()
     cols = [i for i, n in enumerate(d.feature_names) if n.startswith("protocol=")]
     assert d.features[0, cols].tolist() == [0.0, 0.0, 1.0]
 
@@ -404,7 +435,7 @@ def test_ordinal_unseen_token_gets_reserved_code(tmp_path):
     fit_path = _write(tmp_path, "fit.csv", "\n".join(fit_rows) + "\n")
     new_path = _write(tmp_path, "new.csv", UGRANSOME_ROW.replace("TCP", "ICMP") + "\n")
     encoder = CategoricalEncoder("ordinal", load_csv(fit_path, schema))
-    d = encoder.transform(load_csv(new_path, schema))
+    d = encode_categoricals(load_csv(new_path, schema), encoder).dataset()
     col = d.feature_names.index("protocol")
     assert d.features[0, col] == 2.0
 
@@ -415,7 +446,7 @@ def test_fit_rows_vocabulary_sends_other_tokens_to_unknown(tmp_path):
     fit_on = raw.take(np.array([0, 1]))
 
     encoder = CategoricalEncoder("onehot", fit_on)
-    d = encode_categoricals(raw, encoder)
+    d = encode_categoricals(raw, encoder).dataset()
     cols = [i for i, n in enumerate(d.feature_names) if n.startswith("protocol=")]
     assert [d.feature_names[i] for i in cols] == [
         "protocol=TCP", "protocol=UDP", "protocol=__unknown__"]
@@ -423,7 +454,7 @@ def test_fit_rows_vocabulary_sends_other_tokens_to_unknown(tmp_path):
     assert encoder.occurrences["protocol"] == {"TCP": 1, "UDP": 1}
 
     encoder = CategoricalEncoder("ordinal", fit_on)
-    d = encode_categoricals(raw, encoder)
+    d = encode_categoricals(raw, encoder).dataset()
     assert d.features[:, d.feature_names.index("protocol")].tolist() == [0.0, 1.0, 2.0]
     assert len(encoder.occurrences["protocol"]) == 2  # the reserved unknown code
 
@@ -432,14 +463,14 @@ def test_encoding_totality(tmp_path):
     schema, rows = _token_raw(["TCP", "UDP", "ICMP", "TCP"])
     path = _write(tmp_path, "ug.csv", "\n".join(rows) + "\n")
     for strategy in ("onehot", "ordinal"):
-        d = encode_categoricals(load_csv(path, schema), strategy)
+        d = encode_categoricals(load_csv(path, schema), strategy).dataset()
         assert np.isfinite(d.features).all()
 
 
 def test_encoder_records_encoding_map(tmp_path):
     schema, rows = _token_raw(["TCP", "UDP"])
     path = _write(tmp_path, "ug.csv", "\n".join(rows) + "\n")
-    d = encode_categoricals(load_csv(path, schema), "onehot")
+    d = encode_categoricals(load_csv(path, schema), "onehot").dataset()
     assert [name for name in d.feature_names if name.startswith("protocol=")] == [
         "protocol=TCP", "protocol=UDP", "protocol=__unknown__"]
 
@@ -457,7 +488,7 @@ def test_csv_round_trip(tmp_path):
     d, _ = gen_classification(SynthConfig(60, 2, 3, 3, 2.5, seed=11))
     path = str(tmp_path / "rt.csv")
     write_csv(d, path)
-    back = encode_categoricals(load_csv(path, numeric_schema(d)))
+    back = encode_categoricals(load_csv(path, numeric_schema(d))).dataset()
     assert np.array_equal(back.features, d.features)
     assert np.array_equal(back.labels, d.labels)
     assert back.feature_names == d.feature_names
@@ -523,7 +554,7 @@ def test_class_distribution_includes_zero_classes(tmp_path):
     rows = [UGRANSOME_ROW.replace("SS,", "A,", 1), UGRANSOME_ROW.replace("SS,", "A,", 1),
             UGRANSOME_ROW.replace("SS,", "S,", 1)]
     path = _write(tmp_path, "ug.csv", "\n".join(rows) + "\n")
-    d = encode_categoricals(load_csv(path, ugransome_schema()), "ordinal")
+    d = encode_categoricals(load_csv(path, ugransome_schema()), "ordinal").dataset()
     dist = class_distribution(d)
     assert dist == {"Signature": 1, "SyntheticSignature": 0, "Anomaly": 2}
     assert sum(dist.values()) == d.n

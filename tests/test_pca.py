@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cyclonids.dataset import (NUMERIC, CategoricalEncoder, RawDataset, kdd99_schema,
-                               synthetic_schema)
+from cyclonids.dataset import (NUMERIC, CategoricalEncoder, RawDataset, encode_categoricals,
+                               kdd99_schema, synthetic_schema)
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.pca import _BLOCK_ROWS, PCAModel, feature_salience, fit_pca, select_components, transform
 from cyclonids.preprocess import fit_standardizer, standardized
@@ -267,9 +267,8 @@ def test_fit_from_encoded_blocks_matches_the_whole_matrix(monkeypatch, n, layout
     One column numpy sums pairwise, so it is read in one block of all rows."""
     schema = kdd99_schema() if layout == "kdd99" else synthetic_schema(["f0"], ["a", "b"])
     raw = _raw(schema, n, seed=n)
-    encoder = CategoricalEncoder("onehot", raw)
-    rows = encoder.rows(raw)
-    matrix = encoder.transform(raw).features
+    encoded = encode_categoricals(raw, "onehot")
+    rows, matrix = encoded.features, encoded.dataset().features
     assert matrix.shape == (n, 1 if layout == "one_column" else rows.p)
 
     whole, blocked = fit_standardizer(matrix), fit_standardizer(rows)
@@ -289,11 +288,12 @@ def test_fit_from_encoded_blocks_matches_the_whole_matrix(monkeypatch, n, layout
 
 
 @pytest.mark.parametrize("strategy", ["onehot", "ordinal"])
-def test_encoder_fills_any_row_range_as_transform_encodes_it(strategy):
+def test_encoder_fills_any_row_range_as_the_whole_matrix_holds_it(strategy):
     raw = _raw(kdd99_schema(), 3 * _BLOCK_ROWS + 5, seed=4)
     fitted_on = RawDataset(raw.schema, [c[:500] for c in raw.columns], raw.labels[:500])
     encoder = CategoricalEncoder(strategy, fitted_on)  # later rows hold unseen tokens too
-    rows, matrix = encoder.rows(raw), encoder.transform(raw).features
+    encoded = encode_categoricals(raw, encoder)
+    rows, matrix = encoded.features, encoded.dataset().features
     assert (rows.n, rows.p) == matrix.shape
     buffer = np.full((_BLOCK_ROWS + 9, rows.p), np.nan)
     for start, stop in ((0, 1), (3, 700), (_BLOCK_ROWS - 2, 2 * _BLOCK_ROWS + 7), (rows.n - 4, rows.n)):

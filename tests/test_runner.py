@@ -94,14 +94,7 @@ def test_each_split_is_encoded_once_and_the_test_split_after_training(monkeypatc
             return result
         return call
 
-    if selector == "pca":
-        # No encoded split is built: each split's codes are computed once, and its
-        # rows are encoded from them a block at a time.
-        rows = CategoricalEncoder.rows
-        monkeypatch.setattr(CategoricalEncoder, "rows",
-                            lambda encoder, raw: logged("encode", lambda r: rows(encoder, r))(raw))
-    else:
-        monkeypatch.setattr(runner, "encode_categoricals", logged("encode", runner.encode_categoricals))
+    monkeypatch.setattr(runner, "encode_categoricals", logged("encode", runner.encode_categoricals))
     monkeypatch.setattr(forest_mod, "train_forest_xy", logged("train", forest_mod.train_forest_xy))
     monkeypatch.setattr(svm_mod, "train_svm", logged("train", svm_mod.train_svm))
     monkeypatch.setattr(forest_mod, "predict", logged("predict", forest_mod.predict))
@@ -116,9 +109,9 @@ def test_one_standardizer_per_run_applied_to_raw_rows(monkeypatch, selector):
     fit, transform = preprocess.fit_standardizer, preprocess.transform
     fits, inputs, outputs, restandardized = [], [], [], []
 
-    def counting_fit(m):
-        fits.append((m.n, m.p) if isinstance(m, preprocess.Rows) else m.shape)
-        return fit(m)
+    def counting_fit(rows):
+        fits.append((rows.n, rows.p))
+        return fit(rows)
 
     def checking_transform(s, m, out=None):
         inputs.append(np.array(m))
@@ -131,18 +124,16 @@ def test_one_standardizer_per_run_applied_to_raw_rows(monkeypatch, selector):
     cfg = _cfg(selector=selector)
     rec = run_experiment(cfg)
     assert fits == [(rec.dataset_summary["n_train"], rec.dataset_summary["n_features"])]
-    if selector != "pca":
-        assert len(outputs) == 2, "one standardization per split"
-        assert not any(restandardized)
-        return
-    # PCA reads its splits a block at a time into one reused buffer, standardizing
-    # each block as it is read: the training split once for PCA's mean, once for its
-    # covariance and once for the projection, then the test split once. Every block
-    # standardized is freshly encoded rows, in order, never a standardized one.
+    # Each split is standardized as its encoded rows are read. Without PCA the
+    # training split is read once, into the matrix the selector and the classifier
+    # take; PCA reads it once for its mean, once for its covariance and once for the
+    # projection. Then the test split is read once. Every block standardized is
+    # freshly encoded rows, in order, never a standardized one.
     data, _ = gen_classification(cfg.synth)
     pair = split(data, cfg.test_fraction, cfg.seed)
-    read = [pair.train.features] * 3 + [pair.test.features]
+    read = [pair.train.features] * (3 if selector == "pca" else 1) + [pair.test.features]
     assert np.concatenate(inputs).tobytes() == np.concatenate(read).tobytes()
+    assert not any(restandardized)
 
 
 def test_no_leakage_digests_match_train_only_refit():
@@ -492,7 +483,7 @@ def _encode_whole_file(raw, strategy, train_rows):
     encoder.occurrences = {col.name: dict(Counter(values[train_rows]))
                            for col, values in zip(raw.schema.feature_columns(), raw.columns)
                            if col.kind == CATEGORICAL}
-    return encoder, encoder.transform(raw)
+    return encoder, encode_categoricals(raw, encoder).dataset()
 
 
 @pytest.mark.parametrize("strategy", ["onehot", "ordinal"])
@@ -511,7 +502,7 @@ def test_each_split_encodes_as_the_whole_file_did(tmp_path, strategy):
     pair = split(raw, 0.2, 42)
     encoder = CategoricalEncoder(strategy, pair.train)
     for part, rows in ((pair.train, train_rows), (pair.test, test_rows)):
-        mine, reference = encode_categoricals(part, encoder), whole.take(rows)
+        mine, reference = encode_categoricals(part, encoder).dataset(), whole.take(rows)
         assert mine.features.tobytes() == reference.features.tobytes()
         assert np.array_equal(mine.labels, reference.labels)
         assert mine.feature_names == reference.feature_names
@@ -583,14 +574,36 @@ def test_even_split_pca_run_holds_one_split_matrix_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     # The training split is fitted and dropped before the test rows are
-    # encoded, each split is standardized in place, and PCA sums its
-    # covariance a block of rows at a time. The peak, about 1.26, is the
-    # standardized training split (0.5) beside the test split's parsed rows,
-    # plus one covariance block: here the block is the whole 4,000-row split.
-    # Copying each split to standardize it, and centring it for PCA, read 1.58.
+    # encoded, and each split is read standardized a block at a time. The
+    # peak, about 1.36, is in the training split's projection: the one block
+    # buffer, here the whole 4,000-row split (0.5), beside the k-column output
+    # and both splits' parsed rows. Copying each split to standardize it, and
+    # centring it for PCA, read 1.58.
     assert rec.selector_report["components_retained"] > 0.8 * rec.dataset_summary["n_features"]
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
     assert peak < 1.4 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
+
+
+def test_even_split_boruta_run_builds_each_matrix_after_its_parsed_rows_are_read(tmp_path):
+    path = str(tmp_path / "kdd.csv")
+    _write_kdd_like(path, 8000)
+    cfg = _kdd_cfg(path, "boruta")
+    cfg.test_fraction = 0.5
+    cfg.boruta = BorutaConfig(max_iterations=2, seed=42, forest=ForestConfig(
+        n_trees=5, max_depth=4, min_samples_split=25, seed=42))
+    tracemalloc.start()
+    try:
+        rec = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each split's matrix is filled in the standardize stage, and the split's
+    # parsed rows and codes go with its encoded rows once it is: Boruta holds the
+    # training matrix and its shadow copy, beside the test split's parsed rows,
+    # at about 3.6. Filling the matrix inside the select stage kept the parsed
+    # training rows alive while Boruta ran: 4.1.
+    matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
+    assert peak < 3.9 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
 
 
 def test_pca_run_builds_no_encoded_split(tmp_path):
