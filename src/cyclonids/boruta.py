@@ -2,12 +2,13 @@
 
 Each iteration permutes a fresh shadow copy of every feature column, trains a
 random forest on the doubled matrix, and turns per-tree importances into
-Z-scores. A real feature scores a hit when its Z-score beats the maximum
-shadow Z-score (MZS); accumulated hits feed a two-sided binomial test
-(success probability 0.5) that promotes features to Confirmed or demotes
-them to Rejected. Its p-values are exact binomial tails: integer sums of
-binomial coefficients, each divided by 2**t once. Whatever is still
-undecided when iteration budget runs out stays Tentative.
+Z-scores; only one iteration's matrix and forest exist at a time. A real
+feature scores a hit when its Z-score beats the maximum shadow Z-score
+(MZS); accumulated hits feed a two-sided binomial test (success probability
+0.5) that promotes features to Confirmed or demotes them to Rejected. Its
+p-values are exact binomial tails: integer sums of binomial coefficients,
+each divided by 2**t once. Whatever is still undecided when iteration
+budget runs out stays Tentative.
 """
 
 from __future__ import annotations
@@ -92,10 +93,12 @@ def augment_with_shadows(m: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 2:
         raise DataError(f"need a 2-D matrix with at least 2 rows, got shape {m.shape}")
-    shadows = np.empty_like(m)
-    for j in range(m.shape[1]):
-        shadows[:, j] = m[rng.permutation(m.shape[0]), j]
-    return np.hstack([m, shadows])
+    n, p = m.shape
+    out = np.empty((n, 2 * p))
+    out[:, :p] = m
+    for j in range(p):
+        out[:, p + j] = m[rng.permutation(n), j]
+    return out
 
 
 def z_scores(per_tree: np.ndarray) -> np.ndarray:
@@ -147,17 +150,14 @@ def run_boruta(d: Dataset, cfg: BorutaConfig) -> BorutaResult:
     hits = np.zeros(p, dtype=np.int64)
     z_history: list[tuple[np.ndarray, float]] = []
     start = time.perf_counter()
-    iterations = 0
 
     for t in range(1, cfg.max_iterations + 1):
-        iterations = t
         rng = np.random.default_rng([cfg.seed, t])
-        forest_seed = int(rng.integers(0, 2**31 - 1))
+        forest_cfg = dataclasses.replace(cfg.forest, seed=int(rng.integers(0, 2**31 - 1)))
         augmented = augment_with_shadows(x, rng)
-
-        forest_cfg = dataclasses.replace(cfg.forest, seed=forest_seed)
         model = train_forest_xy(augmented, y, n_classes, forest_cfg)
         z = z_scores(per_tree_importances(model))
+        del augmented, model  # before the next iteration builds its own
         z_real, z_shadow = z[:p], z[p:]
         mzs = float(np.max(z_shadow))
         z_history.append((z_real.copy(), mzs))
@@ -181,4 +181,4 @@ def run_boruta(d: Dataset, cfg: BorutaConfig) -> BorutaResult:
     mapping = {TENT: FeatureDecision.TENTATIVE, CONF: FeatureDecision.CONFIRMED,
                REJ: FeatureDecision.REJECTED}
     return BorutaResult(decisions=[mapping[s] for s in state], z_history=z_history,
-                        hits=hits, iterations_used=iterations, elapsed=elapsed)
+                        hits=hits, iterations_used=t, elapsed=elapsed)

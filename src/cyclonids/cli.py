@@ -183,6 +183,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         configs.append(_config_from_args(line_args))
     if not configs:
         raise ConfigError(f"no experiment lines found in {args.config}")
+    if args.out:  # before loading, as run does
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
 
     rows = compare_datasets(configs)
     header = f"{'dataset':<16} {'selector':<8} {'classifier':<10} {'accuracy':>9} {'macro_f1':>9}  selector_summary"
@@ -194,7 +197,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.out:
         path = os.path.join(args.out, "comparison.csv")
         with _writing(args.out):
-            os.makedirs(args.out, exist_ok=True)
             _atomic_write(path, comparison_csv(rows))
         print(f"wrote {path}")
     return 0

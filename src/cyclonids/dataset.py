@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, unreadable
-from .preprocess import _BLOCK_ROWS, Rows
+from .preprocess import _BLOCK_ROWS, Rows, all_finite
 
 log = logging.getLogger(__name__)
 
@@ -138,7 +138,7 @@ class Dataset:
             raise DataError(f"{len(self.feature_names)} feature names for {p} columns")
         if self.labels.min() < 0 or self.labels.max() >= len(self.class_names):
             raise DataError("label index outside class_names range")
-        if not _finite_rows(self.features).all():
+        if not all_finite(self.features):
             raise DataError("feature matrix contains NaN or infinite entries")
 
     @property

@@ -13,8 +13,9 @@ one depth at a time: its frontier holds every node of that depth of every
 tree, sorted by tree, and one batched search splits all of them. A tree's
 draws depend only on its own earlier depths, never on the other trees of
 its group, so the model is the one that growing the trees one after
-another would give. Each tree stores its nodes breadth-first, so the two
-children of a split are adjacent (``right == left + 1``).
+another would give. Its bootstrap, ``integers(0, n, size=n)`` from that
+stream, is part of the contract; only its row weights are kept. Nodes are
+stored breadth-first, so a split's right child follows its left: ``left + 1``.
 
 The batched search never sorts floats. A node holds its distinct bootstrap
 rows with integer weights, and each column's values are replaced once per
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .preprocess import all_finite
 
 _MIN_GAIN = 1e-12
 _GROUP = 25  # trees grown together, one depth at a time
@@ -72,15 +74,13 @@ class ForestConfig:
 
 @dataclass
 class DecisionTree:
-    """Flat breadth-first node arrays: feature == -1 marks a leaf, right == left + 1."""
+    """Flat breadth-first node arrays: feature == -1 marks a leaf, the right child is left + 1."""
 
     feature: np.ndarray  # (nodes,) int, -1 for leaves
     threshold: np.ndarray  # (nodes,) float, nan for leaves
-    left: np.ndarray  # (nodes,) int child index, -1 for leaves
-    right: np.ndarray
+    left: np.ndarray  # (nodes,) int left child index, -1 for leaves
     counts: np.ndarray  # (nodes, k) class counts of the node's sample set
     importance: np.ndarray  # (p,) raw impurity-decrease importance
-    bootstrap_indices: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -94,7 +94,7 @@ class DecisionTree:
             inner = self.feature[at] >= 0
             rows, at = rows[inner], at[inner]
             go_left = m[rows, self.feature[at]] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
+            node[rows] = self.left[at] + ~go_left  # the right child is left + 1
         return np.argmax(self.counts[node], axis=1)
 
 
@@ -121,7 +121,7 @@ class ForestModel:
                     lines.append(
                         f"  node {i} split feature={int(tree.feature[i])} "
                         f"threshold={float(tree.threshold[i])!r} "
-                        f"left={int(tree.left[i])} right={int(tree.right[i])} counts={counts}")
+                        f"left={int(tree.left[i])} right={int(tree.left[i]) + 1} counts={counts}")
         return "\n".join(lines)
 
     def shape(self) -> dict:
@@ -320,22 +320,21 @@ def _grow_group(ranks: _Ranks, y: np.ndarray, k: int, mtry: int, cfg: ForestConf
     """Grow the given trees one depth at a time, one batched split search per depth."""
     n, p = ranks.x.shape
     g = len(tree_ids)
-    rngs, bootstraps, rows, weights, counts = [], [], [], [], []
-    for i in tree_ids:
+    rngs, rows, weights, counts = [], [], [], []
+    for i in tree_ids:  # a bootstrap draw goes once it is counted into row weights
         rngs.append(np.random.default_rng(cfg.seed ^ i))
-        bootstraps.append(rngs[-1].integers(0, n, size=n))
-        weight = np.bincount(bootstraps[-1], minlength=n)
+        weight = np.bincount(rngs[-1].integers(0, n, size=n), minlength=n)
         rows.append(np.flatnonzero(weight))
         weights.append(weight[rows[-1]])
-        counts.append(np.bincount(y[bootstraps[-1]], minlength=k))
+        counts.append(np.bincount(y[rows[-1]], weights[-1], minlength=k))  # exact integers
     pool = _Pool(np.concatenate(rows), np.concatenate(weights), y, k, ranks)
     # The frontier: every node of one depth, sorted by tree, breadth-first within each tree.
     counts = np.array(counts, dtype=np.int64)
     size = np.array([len(r) for r in rows], dtype=np.int64)
     start, owner, splittable = np.cumsum(size) - size, np.arange(g), counts.max(axis=1) < n
-    del rows, weights
-    # Per tree: feature, threshold, left, right and class counts of every node so far.
-    records = [(array("q"), array("d"), array("q"), array("q"), array("d")) for _ in range(g)]
+    del rows, weights, weight
+    # Per tree: feature, threshold, left child and class counts of every node so far.
+    records = [(array("q"), array("d"), array("q"), array("d")) for _ in range(g)]
     n_nodes, importance = np.zeros(g, dtype=np.int64), np.zeros((g, p))
     depth = 0
     while len(owner):
@@ -359,8 +358,7 @@ def _grow_group(ranks: _Ranks, y: np.ndarray, k: int, mtry: int, cfg: ForestConf
         thresholds = np.full(len(owner), np.nan)
         feature[split], thresholds[split] = column, threshold
         left[split] = n_nodes[by] + 2 * (np.arange(len(split)) - np.searchsorted(by, by))
-        fields = (feature, thresholds, left, np.where(feature >= 0, left + 1, -1),
-                  counts.astype(np.float64))
+        fields = (feature, thresholds, left, counts.astype(np.float64))
         for record, a, b in zip(records, bounds.tolist(), bounds[1:].tolist()):
             for buffer, values in zip(record, fields):
                 buffer.frombytes(values[a:b].tobytes())
@@ -375,8 +373,7 @@ def _grow_group(ranks: _Ranks, y: np.ndarray, k: int, mtry: int, cfg: ForestConf
 
     # Zero-copy views: the records become the model's arrays.
     views = [[np.frombuffer(r, dtype=r.typecode) for r in record] for record in records]
-    return [DecisionTree(*v[:4], v[4].reshape(-1, k), imp, bootstrap)
-            for v, imp, bootstrap in zip(views, importance, bootstraps)]
+    return [DecisionTree(*v[:3], v[3].reshape(-1, k), imp) for v, imp in zip(views, importance)]
 
 
 def train_forest_xy(x: np.ndarray, y: np.ndarray, n_classes: int, cfg: ForestConfig,
@@ -390,7 +387,7 @@ def train_forest_xy(x: np.ndarray, y: np.ndarray, n_classes: int, cfg: ForestCon
         raise DataError("labels length does not match matrix rows")
     if x.shape[0] < cfg.min_samples_split:
         raise DataError(f"need at least min_samples_split={cfg.min_samples_split} rows, got {x.shape[0]}")
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         raise DataError("feature matrix contains non-finite entries")
     if y.min() < 0 or y.max() >= n_classes:
         raise DataError(f"labels must lie in [0, {n_classes}), got range [{y.min()}, {y.max()}]")
@@ -420,9 +417,9 @@ def predict(model: ForestModel, m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[1] != model.n_features:
         raise DataError(f"matrix has {m.shape[1] if m.ndim == 2 else '?'} columns, "
                         f"model expects {model.n_features}")
-    votes = np.stack([tree.predict(m) for tree in model.trees])  # (T, n)
-    k = len(model.class_names)
-    tallies = np.stack([(votes == c).sum(axis=0) for c in range(k)])  # (k, n)
+    tallies = np.zeros((len(model.class_names), len(m)), dtype=np.int64)  # (k, n)
+    for tree in model.trees:
+        tallies[tree.predict(m), np.arange(len(m))] += 1
     return np.argmax(tallies, axis=0)
 
 

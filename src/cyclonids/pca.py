@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .preprocess import _BLOCK_ROWS, Rows, as_rows, column_sums
+from .preprocess import _BLOCK_ROWS, Rows, all_finite, as_rows, column_sums
 
 _EIG_CLAMP = -1e-10
 
@@ -56,6 +56,8 @@ def fit_pca(x: np.ndarray | Rows) -> PCAModel:
         np.subtract(block, mean, out=block)
         cov += block.T @ block
     cov *= np.true_divide(1, rows.n - 1)
+    if not all_finite(cov):  # NaN and inf in the rows reach it
+        raise DataError("feature matrix contains NaN or infinite entries")
 
     eigenvalues, vectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]

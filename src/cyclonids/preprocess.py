@@ -133,13 +133,14 @@ def transform(s: Standardizer, m: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
+def all_finite(m: np.ndarray) -> bool:
+    """Whether the non-empty ``m`` is all finite, from its min and max, which NaN and inf reach."""
+    return bool(np.isfinite(m.min()) and np.isfinite(m.max()))
+
+
 def standardized(s: Standardizer, rows: Rows) -> Rows:
-    """``rows`` read through ``transform`` in place, each block checked to be finite: a
-    finite input can still overflow a column sum, and its standardized rows are NaN. The
-    check reads the block's min and max, which NaN and inf reach, so it needs no array."""
+    """``rows`` read through ``transform`` in place; a column sum that overflowed makes them
+    NaN, which the ``Dataset`` they fill, or PCA's covariance, rejects."""
     def fill(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        block = transform(s, rows.fill(start, stop, out), out=out)
-        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-            raise DataError("feature matrix contains NaN or infinite entries")
-        return block
+        return transform(s, rows.fill(start, stop, out), out=out)
     return Rows(rows.n, rows.p, fill, rows.order)

@@ -96,11 +96,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown classifier '{self.classifier}'")
         if self.encoding not in ENCODINGS:
             raise ConfigError(f"unknown encoding '{self.encoding}'")
-        if self.schema == "synthetic":
-            if self.synth is None and self.data_path is None:
-                raise ConfigError("synthetic schema needs either --synth parameters or a data file")
-        elif self.data_path is None:
-            raise ConfigError(f"schema '{self.schema}' requires a data file")
+        if self.synth is not None and (self.schema != "synthetic" or self.data_path is not None):
+            raise ConfigError("--synth generates the rows: it needs --schema synthetic and no data file")
+        if self.synth is None and self.data_path is None:
+            raise ConfigError(f"schema '{self.schema}' requires a data file (or, if synthetic, --synth)")
         if self.folds is not None and self.folds < 2:
             raise ConfigError("folds must be >= 2")
         if not 0.0 < self.test_fraction < 1.0:
@@ -152,7 +151,7 @@ def _digest(text: str) -> str:
 
 def _load_stage(cfg: ExperimentConfig) -> RawDataset:
     """The input rows before encoding: parsed from a CSV file, or generated."""
-    if cfg.schema == "synthetic" and cfg.synth is not None:
+    if cfg.synth is not None:
         d, _ = gen_classification(cfg.synth)
         return RawDataset(numeric_schema(d), list(d.features.T), d.labels)
     return load_csv(cfg.data_path, None if cfg.schema == "synthetic" else schema_by_name(cfg.schema))

@@ -249,8 +249,6 @@ def train_svm(d: Dataset, cfg: SVMConfig) -> SVMModel:
     """
     cfg.validate()
     x = np.asarray(d.features, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise DataError("feature matrix contains non-finite entries")
     present = np.unique(d.labels)
     if len(present) < 2:
         raise DataError("training data contains a single class; nothing to separate")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import stats
 from cyclonids.boruta import (BorutaConfig, FeatureDecision, augment_with_shadows,
                               binomial_upper_tails, run_boruta, z_scores)
 from cyclonids.errors import ConfigError, DataError
+from cyclonids.forest import ForestConfig
 from cyclonids.synthgen import SynthConfig, gen_classification
 
 
@@ -183,3 +185,20 @@ def test_config_validation():
 def run_boruta_dummy(**kwargs):
     d, _ = gen_classification(SynthConfig(40, 1, 1, 2, 1.0, seed=0))
     return run_boruta(d, BorutaConfig(**kwargs))
+
+
+def test_one_iteration_matrix_and_forest_at_a_time():
+    """Each iteration lets go of its (n, 2p) matrix and its forest before the next builds
+    its own. Three iterations of 10 trees on a 20,000 x 20 matrix peak at about 5.1 of
+    that matrix (5.11); holding the previous iteration's beside the next peaked at 6.1."""
+    d, _ = gen_classification(SynthConfig(20000, 5, 15, 2, 1.0, seed=63))
+    cfg = BorutaConfig(max_iterations=3, seed=63,
+                       forest=ForestConfig(n_trees=10, max_depth=4, min_samples_split=25))
+    tracemalloc.start()
+    try:
+        result = run_boruta(d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations_used == 3
+    assert peak / d.features.nbytes < 5.6

@@ -321,6 +321,18 @@ def test_run_out_existing_file_fails_before_loading(tmp_path, capsys, folds):
     assert f"cannot write --out {out}: File exists" in capsys.readouterr().err
 
 
+def test_compare_out_existing_file_fails_before_loading(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    config = tmp_path / "experiments.txt"
+    config.write_text(f"--schema synthetic --data {tmp_path / 'missing.csv'}\n")
+    code = main(["compare", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"cannot write --out {out}: File exists" in captured.err
+    assert captured.out == ""
+
+
 def test_compare_rejects_out_line(tmp_path, capsys):
     target = tmp_path / "line-out"
     line = ("--schema synthetic --synth n=200,inf=2,noise=1,classes=2,sep=10,seed=5 "
@@ -384,6 +396,20 @@ def test_run_bad_sub_config_setting_exits_2_before_loading(tmp_path, capsys, mon
     assert code == 2
     err = capsys.readouterr().err
     assert f"config error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("schema", ["synthetic", "kdd99"])
+def test_run_synth_with_a_data_file_exits_2_before_loading(tmp_path, capsys, monkeypatch, schema):
+    from cyclonids import runner
+
+    monkeypatch.setattr(runner, "load_csv", _no_load)
+    monkeypatch.setattr(runner, "gen_classification", _no_load)
+    code = main(["run", "--schema", schema, "--data", str(tmp_path / "data.csv"),
+                 "--synth", "n=200,inf=2,noise=1,classes=2,sep=10,seed=5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: --synth generates the rows: it needs --schema synthetic and no data file" in err
+    assert "Traceback" not in err
 
 
 def test_compare_checks_every_config_before_the_first_load(tmp_path, capsys, monkeypatch):

@@ -29,8 +29,7 @@ def _leaf_tree(class_idx, k=2, p=1):
     counts = np.zeros((1, k))
     counts[0, class_idx] = 1.0
     return DecisionTree(feature=np.array([-1]), threshold=np.array([np.nan]),
-                        left=np.array([-1]), right=np.array([-1]), counts=counts,
-                        importance=np.zeros(p), bootstrap_indices=np.array([0]))
+                        left=np.array([-1]), counts=counts, importance=np.zeros(p))
 
 
 def _vote_model(classes, k=2):
@@ -129,11 +128,19 @@ def test_purity_stop():
         assert np.all((counts > 0).sum(axis=1) >= 2)
 
 
+def _bootstrap(cfg, i, n):
+    """Tree i's bootstrap rows: the first draw of its stream, as the forest module documents."""
+    return np.random.default_rng(cfg.seed ^ i).integers(0, n, size=n)
+
+
 def test_bootstrap_excludes_rows():
     d, _ = gen_classification(SynthConfig(50, 1, 1, 2, 1.0, seed=10))
-    model = _train(d, ForestConfig(n_trees=20, seed=10))
-    for tree in model.trees:
-        assert len(set(tree.bootstrap_indices.tolist())) < d.n
+    cfg = ForestConfig(n_trees=20, seed=10)
+    model = _train(d, cfg)
+    for i, tree in enumerate(model.trees):
+        rows = _bootstrap(cfg, i, d.n)
+        assert len(set(rows.tolist())) < d.n
+        assert tree.counts[0].tolist() == np.bincount(d.labels[rows], minlength=2).tolist()
 
 
 def test_per_tree_importances_shape_and_normalization():
@@ -237,7 +244,6 @@ def test_children_of_a_split_are_adjacent_and_breadth_first():
     for tree in model.trees:
         split = np.flatnonzero(tree.feature >= 0)
         assert np.all(tree.left[split] > split)
-        assert np.array_equal(tree.right[split], tree.left[split] + 1)
         # Breadth-first: the j-th split's children are nodes 2j + 1 and 2j + 2.
         assert np.array_equal(tree.left[split], 1 + 2 * np.arange(len(split)))
         assert np.all(tree.left[tree.feature < 0] == -1)
@@ -248,7 +254,7 @@ def _walk(tree, row):
     node = 0
     while tree.feature[node] >= 0:
         go_left = row[tree.feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
+        node = tree.left[node] + (not go_left)
     return int(np.argmax(tree.counts[node]))
 
 
@@ -261,7 +267,7 @@ def _on_thresholds(tree, row):
         if f not in seen:
             seen.add(f)
             row[f] = tree.threshold[node]
-        node = tree.left[node] if row[f] <= tree.threshold[node] else tree.right[node]
+        node = tree.left[node] + (row[f] > tree.threshold[node])
     return row
 
 
@@ -280,8 +286,7 @@ def test_a_tree_does_not_depend_on_its_group():
     wide = train_forest_xy(x, y, k, ForestConfig(n_trees=30, seed=38))
     narrow = train_forest_xy(x, y, k, ForestConfig(n_trees=27, seed=38))
     for a, b in zip(wide.trees[:27], narrow.trees, strict=True):
-        for field in ("feature", "threshold", "left", "right", "counts", "importance",
-                      "bootstrap_indices"):
+        for field in ("feature", "threshold", "left", "counts", "importance"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
@@ -299,7 +304,7 @@ def _check_node(tree, node, x, y, k, depth, cfg):
     assert (int(tree.feature[node]), float(tree.threshold[node])) == (best[1], best[2])
     left = x[:, tree.feature[node]] <= tree.threshold[node]
     _check_node(tree, tree.left[node], x[left], y[left], k, depth + 1, cfg)
-    _check_node(tree, tree.right[node], x[~left], y[~left], k, depth + 1, cfg)
+    _check_node(tree, tree.left[node] + 1, x[~left], y[~left], k, depth + 1, cfg)
 
 
 @pytest.mark.parametrize("cfg", [ForestConfig(n_trees=4, mtry=4, seed=51),
@@ -308,8 +313,8 @@ def _check_node(tree, node, x, y, k, depth, cfg):
 def test_every_split_is_the_exhaustive_best(cfg):
     x, y, k = _matrix(60, 2, 2, 3, 1.0, 50, rounded=True)
     model = train_forest_xy(x, y, k, cfg)
-    for tree in model.trees:
-        rows = tree.bootstrap_indices
+    for i, tree in enumerate(model.trees):
+        rows = _bootstrap(cfg, i, len(y))
         _check_node(tree, 0, x[rows], y[rows], k, 0, cfg)
 
 
@@ -329,3 +334,33 @@ def test_training_memory_stays_flat():
         tracemalloc.stop()
     assert len(model.trees) == 50
     assert peak - held < 2_000_000
+
+
+def test_a_trained_forest_holds_its_nodes_and_not_its_bootstrap_draws():
+    """50 depth-3 trees on 20,000 rows hold about 0.18 MB of nodes and importances.
+    Keeping each tree's 20,000-row bootstrap draw held about 8.2 MB."""
+    x, y, k = _matrix(20000, 3, 7, 2, 1.0, 61)
+    tracemalloc.start()
+    try:
+        model = train_forest_xy(x, y, k, ForestConfig(n_trees=50, max_depth=3, seed=61))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(model.trees) == 50
+    assert held < 1_000_000
+
+
+def test_prediction_tallies_votes_without_a_trees_by_rows_matrix():
+    """100 stumps on 20,000 rows: adding each tree's votes into a classes x rows tally
+    peaks at about 1.4 MB; stacking every tree's votes first peaked at about 32 MB."""
+    x, y, k = _matrix(20000, 3, 7, 2, 1.0, 62)
+    model = train_forest_xy(x, y, k, ForestConfig(n_trees=100, max_depth=1, seed=62))
+    tracemalloc.start()
+    try:
+        predicted = predict(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    votes = np.stack([tree.predict(x) for tree in model.trees])
+    assert np.array_equal(predicted, np.argmax([(votes == c).sum(axis=0) for c in range(k)], axis=0))

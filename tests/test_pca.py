@@ -127,6 +127,15 @@ def _fabricated_model(ratios):
                     eigenvalues=ratios * p, explained_variance_ratio=ratios)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_on_rows_holding_nan_or_inf_is_a_data_error(bad):
+    m = np.arange(12.0).reshape(4, 3)
+    m[2, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(
+            DataError, match="feature matrix contains NaN or infinite entries"):
+        fit_pca(m)
+
+
 def test_select_components_examples():
     model = _fabricated_model([0.7, 0.2, 0.1])
     assert select_components(model, 0.9) == 2

@@ -228,7 +228,7 @@ def test_svm_report_reads_back_each_solve(tmp_path):
 def _depth(tree, node=0):
     if tree.feature[node] < 0:
         return 0
-    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.left[node] + 1))
 
 
 def test_forest_report_reads_back_its_shape(tmp_path, monkeypatch):
