@@ -7,9 +7,11 @@ its header on the way; it produces the same in-memory representation as the
 generated ``--synth`` rows, so the rest of the pipeline never cares where
 rows came from. A run splits those parsed rows first and then encodes each
 split with the vocabulary of the training split alone, so no feature matrix
-of the whole file is ever built. ``encode_categoricals`` gives a split's
-rows as ``Blocks``, encoded a block at a time from codes computed once per
-split, which ``Blocks.dataset()`` fills into one matrix.
+of the whole file is ever built. A categorical column leaves the loader as
+int32 codes into its own table of stripped tokens (an Apache Arrow
+dictionary array), so a split copies 4-byte codes. ``encode_categoricals``
+gives a split's rows as ``Blocks``, encoded a block at a time, which
+``Blocks.dataset()`` fills into one matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, unreadable
-from .preprocess import _BLOCK_ROWS, Rows, all_finite
+from .preprocess import Rows, all_finite
 
 log = logging.getLogger(__name__)
 
@@ -78,11 +80,13 @@ class DatasetSchema:
 
 @dataclass
 class RawDataset:
-    """Parsed but not-yet-encoded rows: numeric columns as floats, categorical as tokens."""
+    """Parsed but not-yet-encoded rows: numeric columns as float64, categorical columns as
+    int32 codes, code ``c`` of a column standing for token ``c`` of its table in ``tokens``."""
 
     schema: DatasetSchema
     columns: list[np.ndarray]  # one array per feature column, schema order
     labels: np.ndarray  # class indices
+    tokens: list[list[str]]  # per categorical column, schema order: distinct stripped tokens
     rejected_rows: list[int] = field(default_factory=list)
 
     @property
@@ -94,17 +98,9 @@ class RawDataset:
         return list(self.schema.class_names)
 
     def take(self, indices: np.ndarray) -> "RawDataset":
-        """New RawDataset holding the given rows (used by split and k-fold)."""
-        return RawDataset(self.schema, [c[indices] for c in self.columns], self.labels[indices])
-
-
-def _finite_rows(m: np.ndarray) -> np.ndarray:
-    """Whether each row of the 2-D ``m`` is all finite, tested ``_BLOCK_ROWS`` rows at a time
-    so that no bool array the size of ``m`` is built."""
-    finite = np.empty(len(m), dtype=bool)
-    for start in range(0, len(m), _BLOCK_ROWS):
-        np.isfinite(m[start:start + _BLOCK_ROWS]).all(axis=1, out=finite[start:start + _BLOCK_ROWS])
-    return finite
+        """New RawDataset of the given rows, sharing the token tables (used by split and k-fold)."""
+        return RawDataset(self.schema, [c[indices] for c in self.columns], self.labels[indices],
+                          self.tokens)
 
 
 @dataclass
@@ -325,27 +321,34 @@ class _FloatMemo(dict):
     """``float`` of each numeric string, parsed once, emptied when ``_MEMO_CAP`` are held.
 
     KDD99 columns are mostly flags, small counts and two-decimal rates, so a
-    few thousand distinct strings cover millions of fields. A string that
-    ``float`` rejects raises its ValueError and is not stored.
+    few thousand distinct strings cover millions of fields. Only finite values
+    are stored: any other string raises ValueError.
     """
 
     def __missing__(self, token: str) -> float:
+        if not math.isfinite(value := float(token)):
+            raise ValueError(f"not finite: {token!r}")
         if len(self) >= _MEMO_CAP:
             self.clear()
-        value = self[token] = float(token)
+        self[token] = value
         return value
 
 
-class _Stripped(dict):
-    """Each distinct raw token's stripped ``str``, made once.
+class _Codes(dict):
+    """One categorical column's code of each distinct raw token. A raw token is stripped
+    once, when first seen; tokens equal once stripped share a code, and ``tokens`` is the
+    column's table: the stripped tokens in first-seen order."""
 
-    Kept rows hold these shared strings, so the csv reader's own strings
-    for a row are freed with the row.
-    """
+    def __init__(self) -> None:
+        super().__init__()
+        self.tokens: list[str] = []
 
-    def __missing__(self, token: str) -> str:
-        value = self[token] = token.strip()
-        return value
+    def __missing__(self, token: str) -> int:
+        stripped = token.strip()
+        code = self[token] = self.setdefault(stripped, len(self.tokens))
+        if code == len(self.tokens):
+            self.tokens.append(stripped)
+        return code
 
 
 def _fields(positions: list[int]):
@@ -360,23 +363,22 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
     non-empty record names the features, the last column is the label, and
     the classes are the sorted distinct stripped labels, matched verbatim.
     Otherwise a first record whose numeric fields do not all parse is a
-    header. Numeric fields become floats, categorical fields stay as stripped
-    tokens, and labels become class indices: a label equal to a class name
-    is that class, and any other goes through the case-folded ``label_map``.
-    Rows whose numeric fields do not parse (or parse to NaN/inf) are dropped
-    and their 1-based line numbers recorded in ``rejected_rows``. A wrong
-    field count, an unmapped label, an inferred header naming a column twice
-    or a byte that is not UTF-8 aborts the load; a byte-order mark is skipped.
+    header. Numeric fields become floats, each categorical column becomes
+    int32 codes into its table of stripped tokens in first-seen order, and
+    labels become class indices: a label equal to a class name is that
+    class, and any other goes through the case-folded ``label_map``. A row
+    whose numeric fields do not all parse to finite floats is dropped in the
+    row loop and its 1-based line number recorded in ``rejected_rows``. A
+    wrong field count, an unmapped label, an inferred header naming a column
+    twice or a byte that is not UTF-8 aborts the load; a byte-order mark is
+    skipped.
 
-    Memory: the numeric fields of kept rows fill one float64 block, and the
-    returned numeric columns are views of it. Rows with a NaN or inf field
-    are compacted out of that block in place, ``_BLOCK_ROWS`` rows at a
-    time, so it is never copied. Categorical fields are held as one shared
-    stripped string per distinct raw token.
+    Memory: the numeric fields of kept rows fill one float64 block and their
+    codes one int32 block; the returned columns are views of those blocks.
     """
-    numbers, tokens = array("d"), []  # row-major numeric and categorical fields of kept rows
-    labels, kept_lines, rejected = array("q"), array("q"), []
-    codes: dict[str, int] = {}  # raw label token -> class index (first-seen index if inferred)
+    numbers, codes = array("d"), array("i")  # row-major numeric fields and token codes of kept rows
+    labels, rejected = array("q"), []
+    label_codes: dict[str, int] = {}  # raw label token -> class index (first-seen index if inferred)
     classes: dict[str, int] = {}  # inferred class name -> first-seen index
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
@@ -401,8 +403,8 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                 records = itertools.chain([(lineno, row)], records)
 
             arity, label_at = schema.arity, schema.label_position
-            memo = _FloatMemo()
-            parse, strip = memo.__getitem__, _Stripped().__getitem__
+            memo, coders = _FloatMemo(), [_Codes() for _ in token_pos]
+            parse = memo.__getitem__
             for lineno, row in records:
                 if len(labels) == _MEMO_ROWS and 2 * len(memo) >= len(numbers):
                     parse = float  # mostly distinct strings (`gen` writes repr floats): memo only costs
@@ -410,7 +412,7 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                     raise DataError(
                         f"arity mismatch at row {lineno}: expected {arity} fields, got {len(row)}")
                 token = row[label_at]
-                code = codes.get(token)
+                code = label_codes.get(token)
                 if code is None:
                     if infer:
                         code = classes.setdefault(token.strip(), len(classes))
@@ -420,51 +422,41 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                         code = schema.class_names.index(schema.label_map[_normalize_label(token)])
                     else:
                         raise DataError(f"unknown label '{token.strip()}' at row {lineno}")
-                    codes[token] = code
+                    label_codes[token] = code
 
                 try:
                     values = list(map(parse, numeric(row)))
-                except ValueError:
+                    if parse is float and not all(map(math.isfinite, values)):
+                        raise ValueError("not finite")
+                except ValueError:  # grouped digits parse here; NaN, inf and the rest reject
                     values = [_parse_numeric(t) for t in numeric(row)]
                     if None in values:
                         rejected.append(lineno)
                         continue
                 numbers.fromlist(values)
-                tokens.extend(map(strip, categorical(row)))
+                codes.extend(map(_Codes.__getitem__, coders, categorical(row)))
                 labels.append(code)
-                kept_lines.append(lineno)
     except OSError as exc:
         raise unreadable(path, exc) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
-    block = np.frombuffer(numbers).reshape(len(labels), len(numeric_pos))
-    cats = np.fromiter(tokens, dtype=object, count=len(tokens)).reshape(len(labels), len(token_pos))
-    del tokens  # cats holds the same strings
-    labels = np.asarray(labels, dtype=np.int64)
-    finite = _finite_rows(block)
-    if not finite.all():  # float() takes nan and inf; _parse_numeric rejects them
-        rejected = sorted(rejected + np.asarray(kept_lines)[~finite].tolist())
-        kept = np.flatnonzero(finite)
-        # Front to back, a kept row only moves towards the front, onto rows already read.
-        for start in range(0, len(kept), _BLOCK_ROWS):
-            rows = kept[start:start + _BLOCK_ROWS]
-            block[start:start + len(rows)] = block[rows]
-        block, cats, labels = block[:len(kept)], cats[kept], labels[kept]
-    if not len(labels):
+    if not labels:
         raise DataError(f"no usable rows in {path}: all {len(rejected)} rows had unparseable "
                         "numeric fields" if rejected else f"empty file: {path}")
     if rejected:
         log.warning("%s: rejected %d row(s) with unparseable numeric fields (first: row %d)",
                     path, len(rejected), rejected[0])
+    labels = np.asarray(labels, dtype=np.int64)
     if infer:
         rank = {name: i for i, name in enumerate(sorted(classes))}
         labels = np.array([rank[name] for name in classes], dtype=np.int64)[labels]
         schema = synthetic_schema([c.name for c in feature_cols], list(rank))
 
-    numeric_cols, token_cols = iter(block.T), iter(cats.T)
-    columns = [next(numeric_cols) if c.kind == NUMERIC else next(token_cols) for c in feature_cols]
-    return RawDataset(schema=schema, columns=columns, labels=labels, rejected_rows=rejected)
+    numeric_cols = iter(np.frombuffer(numbers).reshape(len(labels), len(numeric_pos)).T)
+    code_cols = iter(np.frombuffer(codes, dtype=np.int32).reshape(len(labels), len(token_pos)).T)
+    columns = [next(numeric_cols) if c.kind == NUMERIC else next(code_cols) for c in feature_cols]
+    return RawDataset(schema, columns, labels, [c.tokens for c in coders], rejected)
 
 
 def write_csv(d: Dataset, path: str) -> None:
@@ -499,10 +491,11 @@ class CategoricalEncoder:
             raise ConfigError(f"unknown encoding strategy '{strategy}'")
         self.strategy = strategy
         # per categorical column: token -> count over the rows of raw, in first-seen order
+        categorical = [(c.name, codes) for c, codes in zip(raw.schema.feature_columns(), raw.columns)
+                       if c.kind == CATEGORICAL]
         self.occurrences: dict[str, dict[str, int]] = {
-            col.name: dict(Counter(values))
-            for col, values in zip(raw.schema.feature_columns(), raw.columns)
-            if col.kind == CATEGORICAL}
+            name: {table[code]: count for code, count in Counter(codes.tolist()).items()}
+            for (name, codes), table in zip(categorical, raw.tokens)}
 
     def feature_names(self, schema: DatasetSchema) -> list[str]:
         """The names of the encoded columns, in order."""
@@ -517,27 +510,28 @@ class CategoricalEncoder:
 
     def rows(self, raw: RawDataset) -> Rows:
         """The encoded rows of ``raw``, which ``fill`` writes for any range of rows into a
-        buffer. Each categorical column's codes are computed here, once; only they and the
-        numeric columns are held, not the tokens."""
-        parts = []  # (first output column, one-hot width or 0, numeric values or codes)
+        buffer. Each categorical column's token table is mapped through the vocabulary here,
+        once per distinct token, and ``fill`` gathers a block's codes from that lookup."""
+        tables = iter(raw.tokens)
+        parts = []  # (first output column, one-hot width or 0, column, code lookup or None)
         at = 0
         for col, values in zip(raw.schema.feature_columns(), raw.columns):
-            width = 0
+            width, lookup = 0, None
             if col.kind == CATEGORICAL:
                 index = {tok: i for i, tok in enumerate(self.occurrences.get(col.name, {}))}
-                values = np.fromiter(map(index.get, values, itertools.repeat(len(index))),
-                                     dtype=np.intp, count=len(values))
+                lookup = np.array([index.get(tok, len(index)) for tok in next(tables)], dtype=np.intp)
                 width = len(index) + 1 if self.strategy == "onehot" else 0
-            parts.append((at, width, values))
+            parts.append((at, width, values, lookup))
             at += width or 1
 
         def fill(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-            for at, width, values in parts:
+            for at, width, values, lookup in parts:
+                values = values[start:stop] if lookup is None else lookup[values[start:stop]]
                 if width:
                     out[:, at:at + width] = 0.0
-                    out[np.arange(stop - start), at + values[start:stop]] = 1.0
+                    out[np.arange(stop - start), at + values] = 1.0
                 else:
-                    out[:, at] = values[start:stop]
+                    out[:, at] = values
             return out
         return Rows(raw.n, at, fill)
 

@@ -177,14 +177,13 @@ class _Pool:
     """The distinct bootstrap rows of a group of trees; each node owns a contiguous range.
 
     ``payload`` packs each row's bootstrap weight above its class, the low
-    bits of the split-search sort keys.
+    bits of the split-search sort keys. Both arrays are int32.
     """
 
-    def __init__(self, rows: np.ndarray, weights: np.ndarray, y: np.ndarray, k: int, ranks: _Ranks):
-        self.rows = rows.astype(np.int32)
-        self.class_bits = (k - 1).bit_length()
-        self.payload_bits = self.class_bits + int(weights.max()).bit_length()
-        self.payload = ((weights << self.class_bits) | y[rows]).astype(np.int32)
+    def __init__(self, rows: np.ndarray, payload: np.ndarray, class_bits: int, weight_bits: int,
+                 ranks: _Ranks):
+        self.rows, self.payload, self.class_bits = rows, payload, class_bits
+        self.payload_bits = class_bits + weight_bits
         self.segment_shift = self.payload_bits + ranks.bits
         # A chunk holds at most _CHUNK // 2 segments: a splittable node has two distinct rows.
         if self.payload_bits > 31 or self.segment_shift + (_CHUNK // 2).bit_length() > 63:
@@ -320,19 +319,22 @@ def _grow_group(ranks: _Ranks, y: np.ndarray, k: int, mtry: int, cfg: ForestConf
     """Grow the given trees one depth at a time, one batched split search per depth."""
     n, p = ranks.x.shape
     g = len(tree_ids)
-    rngs, rows, weights, counts = [], [], [], []
-    for i in tree_ids:  # a bootstrap draw goes once it is counted into row weights
+    class_bits = (k - 1).bit_length()
+    rngs, rows, payload, counts, top = [], [], [], [], 0
+    for i in tree_ids:  # a bootstrap draw goes once its rows and payload are packed
         rngs.append(np.random.default_rng(cfg.seed ^ i))
         weight = np.bincount(rngs[-1].integers(0, n, size=n), minlength=n)
-        rows.append(np.flatnonzero(weight))
-        weights.append(weight[rows[-1]])
-        counts.append(np.bincount(y[rows[-1]], weights[-1], minlength=k))  # exact integers
-    pool = _Pool(np.concatenate(rows), np.concatenate(weights), y, k, ranks)
+        drawn = np.flatnonzero(weight)
+        counts.append(np.bincount(y[drawn], weight[drawn], minlength=k))  # exact integers
+        top = max(top, int(weight.max()))
+        rows.append(drawn.astype(np.int32))
+        payload.append(((weight[drawn] << class_bits) | y[drawn]).astype(np.int32))
+    size = np.array([len(r) for r in rows], dtype=np.int64)
+    pool = _Pool(np.concatenate(rows), np.concatenate(payload), class_bits, top.bit_length(), ranks)
+    del rows, payload, weight, drawn
     # The frontier: every node of one depth, sorted by tree, breadth-first within each tree.
     counts = np.array(counts, dtype=np.int64)
-    size = np.array([len(r) for r in rows], dtype=np.int64)
     start, owner, splittable = np.cumsum(size) - size, np.arange(g), counts.max(axis=1) < n
-    del rows, weights, weight
     # Per tree: feature, threshold, left child and class counts of every node so far.
     records = [(array("q"), array("d"), array("q"), array("d")) for _ in range(g)]
     n_nodes, importance = np.zeros(g, dtype=np.int64), np.zeros((g, p))

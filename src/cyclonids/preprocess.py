@@ -97,9 +97,9 @@ class Standardizer:
 
 def fit_standardizer(m: np.ndarray | Rows) -> Standardizer:
     """Fit on the rows of a matrix or of ``Rows``, which are read twice: once for each
-    column's sum, then once for its squared deviations, max and min."""
+    column's sum, then once for its squared deviations, max and min. A non-finite mean
+    or std (a sum that overflowed) raises DataError before any row is standardized."""
     rows = as_rows(m, least=2)
-    means = column_sums(rows) / rows.n
     high, low = np.full(rows.p, -np.inf), np.full(rows.p, np.inf)
 
     def squared_deviations(block: np.ndarray) -> None:
@@ -108,8 +108,12 @@ def fit_standardizer(m: np.ndarray | Rows) -> Standardizer:
         np.subtract(block, means, out=block)
         np.multiply(block, block, out=block)
 
-    # m.std(axis=0, ddof=1) without its n x p temporary, summed as the means were.
-    stds = np.sqrt(column_sums(rows, squared_deviations) / (rows.n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = column_sums(rows) / rows.n
+        # m.std(axis=0, ddof=1) without its n x p temporary, summed as the means were.
+        stds = np.sqrt(column_sums(rows, squared_deviations) / (rows.n - 1))
+    if not (np.isfinite(means).all() and np.isfinite(stds).all()):
+        raise DataError("feature matrix contains NaN or infinite entries")
     # A constant column must be flagged even when summation round-off keeps
     # the computed std a hair above zero; max == min is the exact test.
     flags = high == low
@@ -139,8 +143,7 @@ def all_finite(m: np.ndarray) -> bool:
 
 
 def standardized(s: Standardizer, rows: Rows) -> Rows:
-    """``rows`` read through ``transform`` in place; a column sum that overflowed makes them
-    NaN, which the ``Dataset`` they fill, or PCA's covariance, rejects."""
+    """``rows`` read through ``transform`` in place."""
     def fill(start: int, stop: int, out: np.ndarray) -> np.ndarray:
         return transform(s, rows.fill(start, stop, out), out=out)
     return Rows(rows.n, rows.p, fill, rows.order)

@@ -153,7 +153,7 @@ def _load_stage(cfg: ExperimentConfig) -> RawDataset:
     """The input rows before encoding: parsed from a CSV file, or generated."""
     if cfg.synth is not None:
         d, _ = gen_classification(cfg.synth)
-        return RawDataset(numeric_schema(d), list(d.features.T), d.labels)
+        return RawDataset(numeric_schema(d), list(d.features.T), d.labels, tokens=[])
     return load_csv(cfg.data_path, None if cfg.schema == "synthetic" else schema_by_name(cfg.schema))
 
 

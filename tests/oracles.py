@@ -16,10 +16,11 @@ import csv
 import itertools
 import logging
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from cyclonids.dataset import NUMERIC, RawDataset, _not_utf8, synthetic_schema
+from cyclonids.dataset import CATEGORICAL, NUMERIC, RawDataset, _not_utf8, synthetic_schema
 from cyclonids.errors import DataError, unreadable
 
 
@@ -314,7 +315,39 @@ def _reference_looks_like_header(row: list[str], schema) -> bool:
     return any(_reference_parse_numeric(row[pos]) is None for pos in numeric_positions)
 
 
-def reference_load_csv(path: str, schema):
+def decode_columns(raw: RawDataset) -> list[np.ndarray]:
+    """The feature columns of ``raw`` in schema order, each categorical column decoded into an
+    object array of its tokens."""
+    tables = iter(raw.tokens)
+    return [np.array(next(tables), dtype=object)[values] if col.kind == CATEGORICAL else values
+            for col, values in zip(raw.schema.feature_columns(), raw.columns)]
+
+
+def raw_dataset(schema, columns, labels, rejected_rows=()) -> RawDataset:
+    """A RawDataset of schema-order feature columns, each categorical one given as tokens:
+    its table holds the distinct tokens in first-seen order, its codes are int32."""
+    tokens, coded = [], []
+    for col, values in zip(schema.feature_columns(), columns):
+        if col.kind == CATEGORICAL:
+            table = list(dict.fromkeys(values.tolist()))
+            index = {tok: i for i, tok in enumerate(table)}
+            tokens.append(table)
+            values = np.array([index[tok] for tok in values.tolist()], dtype=np.int32)
+        coded.append(values)
+    return RawDataset(schema, coded, np.asarray(labels), tokens, list(rejected_rows))
+
+
+class ReferenceLoad(NamedTuple):
+    """What ``reference_load_csv`` parsed: float64 numeric columns and object token columns
+    in schema order, class indices and the 1-based lines of rejected rows."""
+
+    schema: object
+    columns: list
+    labels: np.ndarray
+    rejected_rows: list
+
+
+def reference_load_csv(path: str, schema) -> ReferenceLoad:
     """Parse a CSV file against a schema, one Python float or token per field."""
     feature_cols = schema.feature_columns()
     values: list[list] = [[] for _ in feature_cols]
@@ -380,5 +413,5 @@ def reference_load_csv(path: str, schema):
             columns.append(np.asarray(store, dtype=np.float64))
         else:
             columns.append(np.asarray(store, dtype=object))
-    return RawDataset(schema=schema, columns=columns, labels=np.asarray(labels, dtype=np.int64),
-                      rejected_rows=rejected)
+    return ReferenceLoad(schema=schema, columns=columns, labels=np.asarray(labels, dtype=np.int64),
+                         rejected_rows=rejected)

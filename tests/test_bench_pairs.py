@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -84,3 +85,24 @@ def test_equal_digests_are_counted_per_name():
     assert bench_pairs._equal_by_name(pairs) == {"classifier": 1, "selector": 1, "standardizer": 3,
                                                   bench_pairs.REPORT: 1}
     assert bench_pairs._equal_by_name([]) == {}
+
+
+def test_working_tree_copy_holds_what_git_would_commit(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("old\n")
+    (repo / "gone.py").write_text("tracked, then deleted\n")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    git = lambda *a: subprocess.run(["git", "-C", str(repo), *a], check=True, capture_output=True)
+    git("init", "-q")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "base")
+    (repo / "pkg" / "mod.py").write_text("modified\n")
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "pkg" / "__pycache__").mkdir()
+    (repo / "pkg" / "__pycache__" / "mod.pyc").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+    bench_pairs.copy_working_tree(str(repo), str(dest))
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "modified\n"

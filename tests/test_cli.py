@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -448,3 +449,29 @@ def test_run_whose_training_column_sum_overflows_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "feature matrix contains NaN or infinite entries" in err and "Traceback" not in err
+
+
+def _run_on_rows(tmp_path, rows, *args):
+    path = tmp_path / "huge.csv"
+    path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+    return main(["run", "--schema", "synthetic", "--data", str(path), *args])
+
+
+@pytest.mark.parametrize("selector", ["pca", "none"])
+def test_overflowing_column_sum_is_reported_without_numpy_warnings(tmp_path, capsys, selector):
+    # The file of the test above; any RuntimeWarning numpy would print becomes an error here.
+    rows = [f"{(1e308, 1e308, -1e308)[i % 3]!r},{0.5 * i!r},{'ab'[i % 2]}" for i in range(40)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _run_on_rows(tmp_path, rows, "--selector", selector)
+    assert code == 3
+    assert "feature matrix contains NaN or infinite entries" in capsys.readouterr().err
+
+
+def test_column_whose_std_overflows_exits_3(tmp_path, capsys):
+    # f0 sums to a finite value, but its squared deviations pass the largest
+    # double: an infinite std must not standardize the column to zeros.
+    rows = [f"{(1e200, -1e200)[i % 2]!r},{0.5 * i!r},{'ab'[i % 2]}" for i in range(40)]
+    code = _run_on_rows(tmp_path, rows)
+    assert code == 3
+    assert "feature matrix contains NaN or infinite entries" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from cyclonids.dataset import (CATEGORICAL, LABEL, NUMERIC, CategoricalEncoder, 
                                ugransome_schema, write_csv)
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.synthgen import SynthConfig, gen_classification
-from oracles import reference_load_csv, reference_read_synthetic_schema
+from oracles import decode_columns, reference_load_csv, reference_read_synthetic_schema
 
 UGRANSOME_ROW = "SS, WannaCry, 60.0, 400, 1, 1dice6yg, 4ePEyKtk, 5062, Bonet, 1819000, A, AF, TCP, 40"
 
@@ -57,12 +57,23 @@ def test_load_ugransome_example_row(tmp_path):
     schema = ugransome_schema()
     assert schema.class_names[raw.labels[0]] == "SyntheticSignature"
     names = [c.name for c in schema.feature_columns()]
-    row = {name: col[0] for name, col in zip(names, raw.columns)}
+    row = {name: col[0] for name, col in zip(names, decode_columns(raw))}
     assert row["port"] == 5062.0
     assert row["protocol"] == "TCP"
     assert row["timestamp"] == 40.0
     assert row["btc"] == 60.0
     assert row["ransomware"] == "WannaCry"
+
+
+def test_each_token_column_has_its_own_table_and_int32_codes(tmp_path):
+    # protocol_type and service both hold "tcp"; padded spellings of a token share its code.
+    pairs = [("udp", " tcp"), (" tcp", "http"), ("tcp ", "tcp"), ("tcp", "udp ")]
+    rows = [",".join(["0", proto, service, "SF"] + ["1"] * 37 + ["neptune."]) for proto, service in pairs]
+    raw = load_csv(_write(tmp_path, "kdd.csv", "\n".join(rows) + "\n"), kdd99_schema())
+    assert raw.tokens == [["udp", "tcp"], ["tcp", "http", "udp"], ["SF"]]
+    codes = [raw.columns[i] for i in (1, 2, 3)]
+    assert [c.dtype for c in codes] == [np.dtype(np.int32)] * 3
+    assert [c.tolist() for c in codes] == [[0, 1, 1, 1], [0, 1, 0, 2], [0, 0, 0, 0]]
 
 
 def test_load_grouped_digits(tmp_path):
@@ -315,7 +326,7 @@ def _assert_same_load(got, expected, path):
     assert got.labels.dtype == np.int64 and got.labels.tobytes() == expected.labels.tobytes()
     assert got.rejected_rows == expected.rejected_rows, path
     assert len(got.columns) == len(expected.columns)
-    for mine, ref in zip(got.columns, expected.columns):
+    for mine, ref in zip(decode_columns(got), expected.columns):
         assert mine.dtype == ref.dtype, path
         if ref.dtype == object:
             assert mine.tolist() == ref.tolist(), path
@@ -591,8 +602,9 @@ def test_load_peak_stays_near_its_numeric_block(tmp_path):
     kept = np.ones(40000, dtype=bool)
     kept[7::50] = False
     expected = np.array([float(v) for v in values])[picks[kept]]
-    assert np.column_stack([c for c in raw.columns if c.dtype != object]).tobytes() == expected.tobytes()
-    assert {t for c in raw.columns if c.dtype == object for t in c} == {
+    columns = decode_columns(raw)
+    assert np.column_stack([c for c in columns if c.dtype != object]).tobytes() == expected.tobytes()
+    assert {t for c in columns if c.dtype == object for t in c} == {
         t.strip() for group in tokens for t in group}
     block = raw.n * 38 * 8
     assert peak < 1.5 * block, f"peak {peak / block:.2f} x the numeric block"

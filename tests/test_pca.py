@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cyclonids.dataset import (NUMERIC, CategoricalEncoder, RawDataset, encode_categoricals,
+from cyclonids.dataset import (NUMERIC, CategoricalEncoder, encode_categoricals,
                                kdd99_schema, synthetic_schema)
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.pca import _BLOCK_ROWS, PCAModel, feature_salience, fit_pca, select_components, transform
 from cyclonids.preprocess import fit_standardizer, standardized
 from cyclonids.preprocess import transform as standardize
-from oracles import power_iteration_eigenvalues
+from oracles import decode_columns, power_iteration_eigenvalues, raw_dataset
 
 # Frozen 4x3 fixture; expected eigenvalues come from the power-iteration
 # oracle at test time, not from the implementation under test.
@@ -251,7 +251,7 @@ def _raw(schema, n, seed):
         else:
             tokens = np.array([f"{col.name}{v}" for v in range(int(rng.integers(2, 30)))], dtype=object)
             columns.append(tokens[rng.integers(len(tokens), size=n)])
-    return RawDataset(schema, columns, rng.integers(len(schema.class_names), size=n))
+    return raw_dataset(schema, columns, rng.integers(len(schema.class_names), size=n))
 
 
 def _blocked_covariance(z):
@@ -299,7 +299,7 @@ def test_fit_from_encoded_blocks_matches_the_whole_matrix(monkeypatch, n, layout
 @pytest.mark.parametrize("strategy", ["onehot", "ordinal"])
 def test_encoder_fills_any_row_range_as_the_whole_matrix_holds_it(strategy):
     raw = _raw(kdd99_schema(), 3 * _BLOCK_ROWS + 5, seed=4)
-    fitted_on = RawDataset(raw.schema, [c[:500] for c in raw.columns], raw.labels[:500])
+    fitted_on = raw_dataset(raw.schema, [c[:500] for c in decode_columns(raw)], raw.labels[:500])
     encoder = CategoricalEncoder(strategy, fitted_on)  # later rows hold unseen tokens too
     encoded = encode_categoricals(raw, encoder)
     rows, matrix = encoded.features, encoded.dataset().features

@@ -19,6 +19,7 @@ from cyclonids.forest import ForestConfig
 from cyclonids.runner import (ExperimentConfig, compare_datasets, comparison_csv, emit_reports,
                               report_dict, run_experiment, run_kfold, strip_timings)
 from cyclonids.synthgen import SynthConfig, gen_classification
+from oracles import decode_columns
 
 
 def _cfg(**kwargs):
@@ -481,7 +482,7 @@ def _encode_whole_file(raw, strategy, train_rows):
     did before it split the parsed rows first. Returns the encoder and the encoded rows."""
     encoder = CategoricalEncoder(strategy, raw)
     encoder.occurrences = {col.name: dict(Counter(values[train_rows]))
-                           for col, values in zip(raw.schema.feature_columns(), raw.columns)
+                           for col, values in zip(raw.schema.feature_columns(), decode_columns(raw))
                            if col.kind == CATEGORICAL}
     return encoder, encode_categoricals(raw, encoder).dataset()
 

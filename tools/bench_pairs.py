@@ -3,12 +3,15 @@
     python3 tools/bench_pairs.py --base HEAD --label svm --workloads svm_ovr --seeds 301 302 303
 
 For each workload and seed, ``perfbench/run.py`` runs once on an export of
-the base commit (``git archive``, in a temporary directory) and once on the
-working tree, alternating which side runs first. ``BENCH_<label>.json`` at
-the repository root gets every run's metrics and digests, and per metric
-each side's median and quartiles, the number of pairs the working tree
-won and the ``gain`` and ``worse_than_bound`` flags (see ``_summary``), plus
-the machine: CPU count, Python and numpy versions. Per workload it
+the base commit (``git archive``) and once on a copy of the working tree
+(the files ``git ls-files --cached --others --exclude-standard`` lists),
+each in its own temporary directory, so that neither side carries
+``__pycache__`` or ``.perfbench/`` state; which side runs first alternates.
+``BENCH_<label>.json`` at the repository root gets every run's metrics and
+digests, and per metric each side's median and quartiles, the number of
+pairs the working tree won and the ``gain`` and ``worse_than_bound`` flags
+(see ``_summary``), plus the machine: CPU count, Python and numpy
+versions. Per workload it
 also counts the pairs whose component digests (every digest but the
 report's) are equal on both sides, the pairs whose "report (no timings)"
 digests are equal, the same count for each digest name on its own (so a
@@ -27,6 +30,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -49,6 +53,18 @@ def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
     result["digests"] = dict(line[9:].rsplit(None, 1) for line in lines if line.startswith("  digest "))
     return result
+
+
+def copy_working_tree(root: str, dest: str) -> None:
+    """Copy into ``dest`` the files of ``root``'s working tree that git would commit: tracked
+    ones as they are now, and untracked ones that are not ignored. Deleted files are skipped."""
+    listed = subprocess.run(["git", "-C", root, "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in filter(None, os.fsdecode(listed).split("\0")):
+        source = os.path.join(root, name)
+        if os.path.lexists(source):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(dest, name), follow_symlinks=False)
 
 
 def _spread(values: list[float]) -> dict:
@@ -117,16 +133,18 @@ def main(argv: list[str]) -> int:
               + git("rev-parse", "HEAD").decode().strip(), "seconds": benchmark["run_seconds"],
               "machine": {"cpu_count": os.cpu_count(), "python": platform.python_version(),
                           "numpy": np.__version__}, "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as checkout:
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as checkout, \
+            tempfile.TemporaryDirectory(prefix="bench-head-") as head:
         with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", base_sha))) as tar:
             tar.extractall(checkout, filter="data")
+        copy_working_tree(ROOT, head)
         for workload in args.workloads:
             pairs = []
             for k, seed in enumerate(args.seeds):
                 order = ["base", "head"] if k % 2 == 0 else ["head", "base"]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = _run(checkout if side == "base" else ROOT, workload, seed,
+                    pair[side] = _run(checkout if side == "base" else head, workload, seed,
                                       report["seconds"])
                     print(f"{workload} seed={seed} {side}: {pair[side]['metrics']}", file=sys.stderr)
                 pairs.append(pair)
