@@ -3,15 +3,16 @@
 Supports the KDD99 / NSL-KDD / UGRansome intrusion-detection corpora plus
 purely numeric synthetic data. ``load_csv`` is the only code that reads an
 input CSV and reads it once, inferring the schema of a synthetic file from
-its header on the way; it produces the same in-memory representation as the
-generated ``--synth`` rows, so the rest of the pipeline never cares where
-rows came from. A run splits those parsed rows first and then encodes each
-split with the vocabulary of the training split alone, so no feature matrix
-of the whole file is ever built. A categorical column leaves the loader as
-int32 codes into its own table of stripped tokens (an Apache Arrow
-dictionary array), so a split copies 4-byte codes. ``encode_categoricals``
-gives a split's rows as ``Blocks``, encoded a block at a time, which
-``Blocks.dataset()`` fills into one matrix.
+its header on the way; numpy's C text reader parses the clean chunks of
+lines and a Python row loop the rest. It produces the same in-memory
+representation as the generated ``--synth`` rows, so the rest of the
+pipeline never cares where rows came from. A run splits those parsed rows
+first and then encodes each split with the vocabulary of the training split
+alone, so no feature matrix of the whole file is ever built. A categorical
+column leaves the loader as int32 codes into its own table of stripped
+tokens (an Apache Arrow dictionary array), so a split copies 4-byte codes.
+``encode_categoricals`` gives a split's rows as ``Blocks``, encoded a block
+at a time, which ``Blocks.dataset()`` fills into one matrix.
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ def _normalize_label(token: str) -> str:
     return token.strip().rstrip(".").lower()
 
 
-_MEMO_ROWS = 256  # kept rows read before load_csv decides whether to memoize float()
+_MEMO_ROWS = 256  # rows the row loop keeps before load_csv decides whether to memoize float()
 _MEMO_CAP = 1 << 16  # distinct strings a _FloatMemo holds before it empties itself
 
 
@@ -351,9 +352,109 @@ class _Codes(dict):
         return code
 
 
+class _Labels(dict):
+    """Class index of each distinct raw label token, found once per token: a label equal to a
+    class name is that class, any other goes through the case-folded ``label_map``, and one
+    that maps to no class raises KeyError. ``classes`` is set when the classes are inferred:
+    each stripped label is then a class, indexed in first-seen order."""
+
+    def __init__(self, schema: DatasetSchema, infer: bool) -> None:
+        super().__init__()
+        self.schema = schema
+        self.classes: dict[str, int] | None = {} if infer else None
+
+    def __missing__(self, token: str) -> int:
+        stripped, names = token.strip(), self.schema.class_names
+        if self.classes is not None:
+            code = self.classes.setdefault(stripped, len(self.classes))
+        elif stripped in names:  # before case folding
+            code = names.index(stripped)
+        else:
+            code = names.index(self.schema.label_map[_normalize_label(token)])
+        self[token] = code
+        return code
+
+
+_CHUNK_LINES = 64  # data lines handed to np.loadtxt at a time (a failed chunk costs its lines' row loop)
+_CSV_ONLY = '"\0'  # a chunk holding either is read as CSV: a quote, or a NUL (Python 3.10's csv rejects it)
+
+
+class _Records:
+    """The non-blank CSV records of an open handle as (record number, row), numbered from 1.
+
+    Lines are read ``_CHUNK_LINES`` at a time. A chunk that ``take(lines)`` takes
+    (one record per line, stored by ``take``) yields nothing; any other is read by
+    ``csv.reader``, past its last line while a quoted field spans lines. Until
+    ``take`` is set, every chunk is read as CSV. Once exhausted, ``lineno`` is the
+    number of records and ``taken`` the number of them that ``take`` took.
+    """
+
+    def __init__(self, handle, path: str) -> None:
+        self.handle, self.path, self.lineno, self.taken = handle, path, 0, 0
+        self.take = lambda lines: False
+
+    def __iter__(self):
+        lineno = 0
+        try:
+            while lines := list(itertools.islice(self.handle, _CHUNK_LINES)):
+                if self.take(lines):
+                    lineno += len(lines)
+                    self.taken += len(lines)
+                    continue
+                reader, end = csv.reader(itertools.chain(lines, self.handle)), len(lines)
+                for lineno, row in enumerate(reader, start=lineno + 1):
+                    if row and (len(row) > 1 or row[0].strip()):
+                        yield lineno, row
+                    if reader.line_num >= end:
+                        break
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or a NUL before Python 3.11
+            raise DataError(f"{self.path}: row {lineno + 1}: {exc}") from None
+        self.lineno = lineno
+
+
 def _fields(positions: list[int]):
     """Function from a row to the sequence of its fields at ``positions``."""
     return itemgetter(*positions) if len(positions) > 1 else lambda row: [row[p] for p in positions]
+
+
+def _chunk_reader(arity: int, numeric_pos: list[int], token_pos: list[int], label_at: int,
+                  limit: int, numbers: array, codes: array, labels: array, coders: list[_Codes],
+                  label_codes: _Labels):
+    """``take(lines)`` for ``_Records``: parse a chunk of data lines with ``np.loadtxt`` and,
+    when each line is one record whose numeric fields are finite floats and whose label is
+    known, append its rows to the buffers as the row loop would and return True. Any other
+    chunk is left to the row loop, the only code that rejects a row or raises."""
+    order = numeric_pos + [p for p in range(arity) if p not in numeric_pos]  # numeric fields first
+    dtype = np.dtype({"names": [f"f{p}" for p in range(arity)],
+                      "formats": ["f8" if p in numeric_pos else "O" for p in range(arity)],
+                      "offsets": [8 * order.index(p) for p in range(arity)]})
+    label, tokens = f"f{label_at}", [f"f{p}" for p in token_pos]
+
+    def take(lines: list[str]) -> bool:
+        text = "".join(lines)
+        if (text.isspace() or any(c in text for c in _CSV_ONLY)  # loadtxt warns on no data
+                or len(text) > limit and max(map(len, lines)) > limit):
+            return False
+        try:
+            rec = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:  # a wrong field count, or a numeric field that is not a float
+            return False
+        # the numeric fields, first in each record, as one (rows, numeric fields) view
+        values = np.ndarray((len(rec), len(numeric_pos)), np.float64, rec, 0, (dtype.itemsize, 8))
+        if len(rec) < len(lines) or not np.isfinite(values).all():  # a blank line, or nan/inf
+            return False
+        try:
+            found = list(map(label_codes.__getitem__, rec[label]))
+        except KeyError:
+            return False
+        numbers.frombytes(values.tobytes())
+        block = np.empty((len(rec), len(coders)), np.int32)
+        for j, (coder, name) in enumerate(zip(coders, tokens)):  # in row order, as the row loop
+            block[:, j] = list(map(coder.__getitem__, rec[name].tolist()))
+        codes.frombytes(block.tobytes())
+        labels.extend(found)
+        return True
+    return take
 
 
 def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
@@ -370,20 +471,22 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
     whose numeric fields do not all parse to finite floats is dropped in the
     row loop and its 1-based line number recorded in ``rejected_rows``. A
     wrong field count, an unmapped label, an inferred header naming a column
-    twice or a byte that is not UTF-8 aborts the load; a byte-order mark is
-    skipped.
+    twice, a field over ``csv.field_size_limit()`` or a byte that is not
+    UTF-8 aborts the load; a byte-order mark is skipped.
 
-    Memory: the numeric fields of kept rows fill one float64 block and their
-    codes one int32 block; the returned columns are views of those blocks.
+    Speed: after the first record, lines are read ``_CHUNK_LINES`` at a time
+    and a chunk that ``np.loadtxt`` parses clean (see ``_chunk_reader``) is
+    stored as the row loop would store it; only the other chunks go through
+    the row loop. Memory: the numeric fields of kept rows fill one float64
+    block and their codes one int32 block; the returned columns are views of
+    those blocks.
     """
     numbers, codes = array("d"), array("i")  # row-major numeric fields and token codes of kept rows
     labels, rejected = array("q"), []
-    label_codes: dict[str, int] = {}  # raw label token -> class index (first-seen index if inferred)
-    classes: dict[str, int] = {}  # inferred class name -> first-seen index
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-            records = ((lineno, row) for lineno, row in enumerate(csv.reader(handle), start=1)
-                       if row and (len(row) > 1 or row[0].strip()))
+            source = _Records(handle, path)
+            records = iter(source)
             lineno, row = next(records, (0, []))
             infer = schema is None
             if infer and len(row) < 2:
@@ -403,26 +506,22 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                 records = itertools.chain([(lineno, row)], records)
 
             arity, label_at = schema.arity, schema.label_position
+            label_codes = _Labels(schema, infer)  # raw label token -> class index
             memo, coders = _FloatMemo(), [_Codes() for _ in token_pos]
             parse = memo.__getitem__
+            source.take = _chunk_reader(arity, numeric_pos, token_pos, label_at, csv.field_size_limit(),
+                                        numbers, codes, labels, coders, label_codes)
             for lineno, row in records:
-                if len(labels) == _MEMO_ROWS and 2 * len(memo) >= len(numbers):
+                if (len(labels) - source.taken == _MEMO_ROWS  # rows this loop kept, not np.loadtxt
+                        and 2 * len(memo) >= _MEMO_ROWS * len(numeric_pos)):
                     parse = float  # mostly distinct strings (`gen` writes repr floats): memo only costs
                 if len(row) != arity:
                     raise DataError(
                         f"arity mismatch at row {lineno}: expected {arity} fields, got {len(row)}")
-                token = row[label_at]
-                code = label_codes.get(token)
-                if code is None:
-                    if infer:
-                        code = classes.setdefault(token.strip(), len(classes))
-                    elif token.strip() in schema.class_names:  # before case folding
-                        code = schema.class_names.index(token.strip())
-                    elif _normalize_label(token) in schema.label_map:
-                        code = schema.class_names.index(schema.label_map[_normalize_label(token)])
-                    else:
-                        raise DataError(f"unknown label '{token.strip()}' at row {lineno}")
-                    label_codes[token] = code
+                try:
+                    code = label_codes[row[label_at]]
+                except KeyError:
+                    raise DataError(f"unknown label '{row[label_at].strip()}' at row {lineno}") from None
 
                 try:
                     values = list(map(parse, numeric(row)))
@@ -441,6 +540,8 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
+    log.debug("%s: %d line(s) parsed by np.loadtxt, %d by the row loop",
+              path, source.taken, source.lineno - source.taken)
     if not labels:
         raise DataError(f"no usable rows in {path}: all {len(rejected)} rows had unparseable "
                         "numeric fields" if rejected else f"empty file: {path}")
@@ -449,8 +550,8 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                     path, len(rejected), rejected[0])
     labels = np.asarray(labels, dtype=np.int64)
     if infer:
-        rank = {name: i for i, name in enumerate(sorted(classes))}
-        labels = np.array([rank[name] for name in classes], dtype=np.int64)[labels]
+        rank = {name: i for i, name in enumerate(sorted(label_codes.classes))}
+        labels = np.array([rank[name] for name in label_codes.classes], dtype=np.int64)[labels]
         schema = synthetic_schema([c.name for c in feature_cols], list(rank))
 
     numeric_cols = iter(np.frombuffer(numbers).reshape(len(labels), len(numeric_pos)).T)

@@ -160,6 +160,32 @@ def test_run_non_utf8_file_exits_3_naming_the_line(tmp_path, capsys, schema):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("schema, quoted_at, at", [("kdd99", None, 2), ("kdd99", None, 150),
+                                                    ("kdd99", 129, 150), ("synthetic", None, 3),
+                                                    ("synthetic", 2, 3)])
+def test_run_with_a_field_over_the_csv_field_limit_exits_3_naming_the_row(tmp_path, capsys, schema,
+                                                                          quoted_at, at):
+    # quoted_at: a row whose quoted field holds a newline, so rows after it
+    # sit one line lower; row 129 crosses from one 64-line chunk to the next.
+    if schema == "kdd99":
+        lines = [_kdd_line(("neptune.", "normal.")[i % 2]) for i in range(200)]
+        lines[at - 1] = lines[at - 1].replace("http", "h" * 200_000)
+        if quoted_at:
+            lines[quoted_at - 1] = lines[quoted_at - 1].replace("http", '"ht\ntp"')
+    else:
+        lines = ["f0,f1,label"] + [f"{0.1 * i!r},{i % 3!r},{'ab'[i % 2]}" for i in range(199)]
+        lines[at - 1] = "0.5,1.5," + "a" * 200_000
+        if quoted_at:
+            lines[quoted_at - 1] = '0.5,1.5,"a\nb"'
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--schema", schema, "--data", str(path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"row {at}: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", ["n=abc,inf=2,noise=1,classes=2,sep=5,seed=1",
                                   "n=200,inf=2,noise=1,classes=2,sep=x,seed=1"])
 def test_gen_non_numeric_synth_value_exits_2(tmp_path, capsys, spec):

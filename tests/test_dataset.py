@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -402,6 +403,133 @@ def test_schema_layout_is_read_a_constant_number_of_times(tmp_path, monkeypatch)
     assert 1 <= per_file[1]["arity"] <= 2 and per_file[1]["label_position"] == 1
 
 
+# ---------------------------------------------------------------- chunked loading
+
+_CHUNK = dataset_mod._CHUNK_LINES
+_LAYOUTS = ["kdd99", "nslkdd", "ugransome", "synthetic"]
+_SYNTHETIC_HEADER = "f0,f1,f2,label"
+
+
+def _clean_fields(rng, layout: str) -> list[str]:
+    """The fields of one data line of the layout with no quirk: bare numbers, tokens and labels."""
+    if layout == "synthetic":
+        return [repr(float(v)) for v in rng.normal(0.0, 100.0, 3)] + [str(rng.choice(["c0", "c1", "attack"]))]
+    schema = schema_by_name(layout)
+    fields = []
+    for c in sorted(schema.columns, key=lambda c: c.position):
+        if c.kind == LABEL:
+            fields.append(str(rng.choice(sorted(schema.label_map))))
+        elif c.kind == CATEGORICAL:
+            fields.append(f"s{int(rng.integers(500))}")  # some first seen in a chunk np.loadtxt parses
+        else:
+            fields.append(str(rng.choice(["0", "1", "0.25", repr(float(rng.normal()))])))
+    return fields
+
+
+def _line_quirks(layout: str) -> list:
+    """Edits from a clean line's fields to the text of the quirky line(s) that replace it; the
+    last one's quoted field holds a newline. A synthetic file's label stands in for a token."""
+    if layout == "synthetic":
+        numeric, token = [0, 1, 2], 3
+    else:
+        schema = schema_by_name(layout)
+        numeric = [c.position for c in schema.feature_columns() if c.kind == NUMERIC]
+        token = next(c.position for c in schema.columns if c.kind == CATEGORICAL)
+
+    def put(at, value):
+        return lambda f: ",".join(f[:at] + [value] + f[at + 1:]) + "\n"
+    quirks = [put(numeric[i % len(numeric)], bad)
+              for i, bad in enumerate(_BAD_NUMERIC + ("1 819 000", "1_000"))]
+    quirks += [put(token, " tcp "), put(token, '"tcp"'), put(token, '"x,y"'), put(numeric[1], '" 12"'),
+               put(token, "t" * 100),
+               put(numeric[2], "\x1c12\x1f"),  # np.loadtxt strips these; float() does not, _parse_numeric does
+               lambda f: ",".join(f) + "\r\n", lambda f: "\n"]
+    if layout != "synthetic":  # the reference would read a whitespace-only line as a class
+        quirks.append(lambda f: "   \n")
+    return quirks + [put(token, '"line\nbreak"')]
+
+
+def _chunked_csv(rng, layout: str, quirks: list) -> str:
+    """A first chunk (with a header in two layouts), then for each quirk k a clean chunk and a
+    chunk holding quirk k on its first line and quirk k + 1 on its last, then a clean chunk."""
+    clean = lambda: ",".join(_clean_fields(rng, layout)) + "\n"
+    lines = []
+    if layout == "synthetic":
+        lines.append(_SYNTHETIC_HEADER + "\n")
+    elif layout == "ugransome":
+        columns = sorted(ugransome_schema().columns, key=lambda c: c.position)
+        lines.append(",".join(c.name for c in columns) + "\n")
+    lines += [clean() for _ in range(_CHUNK - len(lines))]
+    for k, quirk in enumerate(quirks):
+        lines += [clean() for _ in range(_CHUNK)]
+        after = quirks[(k + 1) % len(quirks)]
+        lines += [quirk(_clean_fields(rng, layout))] + [clean() for _ in range(_CHUNK - 2)]
+        lines.append(after(_clean_fields(rng, layout)))
+    return "".join(lines + [clean() for _ in range(_CHUNK)])
+
+
+def _load_both(path, layout):
+    schema = None if layout == "synthetic" else schema_by_name(layout)
+    expected = _load_or_error(
+        lambda: reference_load_csv(path, schema or reference_read_synthetic_schema(path)))
+    return _load_or_error(load_csv, path, schema), expected
+
+
+def _loadtxt_lines(caplog) -> int:
+    """Lines parsed by np.loadtxt in the last load, as its debug line gives them."""
+    message = [r.getMessage() for r in caplog.records if "parsed by np.loadtxt" in r.getMessage()][-1]
+    return int(re.search(r"(\d+) line\(s\) parsed by np.loadtxt", message).group(1))
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_chunked_loader_matches_the_reference_loader_at_chunk_edges(tmp_path, caplog, layout):
+    caplog.set_level("DEBUG", logger="cyclonids.dataset")
+    quirks = _line_quirks(layout)
+    path = _write(tmp_path, f"{layout}.csv", _chunked_csv(np.random.default_rng(11), layout, quirks))
+    got, expected = _load_both(path, layout)
+    _assert_same_load(got, expected, path)
+    assert got.tokens == [list(dict.fromkeys(c.tolist())) for c in expected.columns if c.dtype == object]
+    assert len(got.rejected_rows) == 2 * 11  # each _BAD_NUMERIC token, on a first and a last line
+    # Every clean chunk but the last went through np.loadtxt; the quoted newline's second
+    # line shifts the last one onto a quirky line.
+    assert _loadtxt_lines(caplog) >= _CHUNK * len(quirks)
+
+
+def _fatal_cases():
+    for layout in _LAYOUTS:
+        for error in ("unknown label", "arity") if layout != "synthetic" else ("arity",):
+            for edge in ("first", "last"):
+                yield layout, error, edge
+
+
+@pytest.mark.parametrize("layout, error, edge", list(_fatal_cases()))
+def test_chunked_loader_reports_errors_after_a_clean_chunk_as_the_reference_does(
+        tmp_path, layout, error, edge):
+    rng = np.random.default_rng(12)
+    lines = [_SYNTHETIC_HEADER] if layout == "synthetic" else []
+    lines += [",".join(_clean_fields(rng, layout)) for _ in range(3 * _CHUNK - len(lines))]
+    fields = _clean_fields(rng, layout)
+    if error == "arity":
+        fields.pop()
+    else:
+        fields[schema_by_name(layout).label_position] = "warpdrive."
+    at = 2 * _CHUNK if edge == "first" else 3 * _CHUNK - 1  # in the third chunk
+    lines[at] = ",".join(fields)
+    path = _write(tmp_path, "bad.csv", "\n".join(lines) + "\n")
+    got, expected = _load_both(path, layout)
+    assert isinstance(got, str) and got == expected
+    assert f"at row {at + 1}" in got
+
+
+def test_a_chunk_of_blank_lines_loads_without_a_warning(tmp_path):
+    lines = [_kdd_row()] * _CHUNK + [""] * (2 * _CHUNK) + ["   "] * _CHUNK + [_kdd_row("normal.")] * _CHUNK
+    path = _write(tmp_path, "kdd.csv", "\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_csv(path, kdd99_schema())
+    _assert_same_load(got, reference_load_csv(path, kdd99_schema()), path)
+
+
 # ---------------------------------------------------------------- encoding
 
 def _token_raw(tokens):
@@ -578,8 +706,8 @@ def test_dataset_rejects_nonfinite():
 
 
 def test_load_peak_stays_near_its_numeric_block(tmp_path):
-    # The numeric block is compacted in place when rows hold nan/inf, and kept
-    # rows share one stripped string per distinct token.
+    # Rows holding nan/inf are never stored, and each token column is held as
+    # int32 codes into one table of its distinct stripped tokens.
     rng = np.random.default_rng(5)
     values = np.array(["0", "1", "2", "0.00", "0.50", "1.00", "255", " 12 "], dtype=object)
     tokens = [("tcp", "udp", " icmp"), ("http", "smtp", "ftp_data", " private "), ("SF", "S0", "REJ")]
