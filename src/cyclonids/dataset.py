@@ -6,13 +6,16 @@ input CSV and reads it once, inferring the schema of a synthetic file from
 its header on the way; numpy's C text reader parses the clean chunks of
 lines and a Python row loop the rest. It produces the same in-memory
 representation as the generated ``--synth`` rows, so the rest of the
-pipeline never cares where rows came from. A run splits those parsed rows
-first and then encodes each split with the vocabulary of the training split
-alone, so no feature matrix of the whole file is ever built. A categorical
-column leaves the loader as int32 codes into its own table of stripped
-tokens (an Apache Arrow dictionary array), so a split copies 4-byte codes.
-``encode_categoricals`` gives a split's rows as ``Blocks``, encoded a block
-at a time, which ``Blocks.dataset()`` fills into one matrix.
+pipeline never cares where rows came from. The parsed rows are two
+row-major blocks: float64 numeric fields, and int32 codes of the categorical
+fields, each column's codes pointing into its own table of stripped tokens
+(an Apache Arrow dictionary array). A run splits those parsed rows first and
+then encodes each split with the vocabulary of the training split alone, so
+no feature matrix of the whole file is ever built. A split is a sorted row
+index into the loaded blocks, a selection vector as in MonetDB/X100, and
+copies none of their rows. ``encode_categoricals`` gives a split's rows as
+``Blocks``, gathered and encoded a block at a time, which
+``Blocks.dataset()`` fills into one matrix.
 """
 
 from __future__ import annotations
@@ -81,14 +84,18 @@ class DatasetSchema:
 
 @dataclass
 class RawDataset:
-    """Parsed but not-yet-encoded rows: numeric columns as float64, categorical columns as
-    int32 codes, code ``c`` of a column standing for token ``c`` of its table in ``tokens``."""
+    """Parsed but not-yet-encoded rows, held as the loader's two row-major blocks: the
+    numeric fields as float64 and the categorical fields as int32 codes, code ``c`` of a
+    column standing for token ``c`` of its table in ``tokens``. With ``index`` set, the
+    dataset is those rows of the blocks, in that order, and holds no copy of them."""
 
     schema: DatasetSchema
-    columns: list[np.ndarray]  # one array per feature column, schema order
-    labels: np.ndarray  # class indices
+    numbers: np.ndarray  # (block rows, numeric feature columns) float64, schema order
+    codes: np.ndarray  # (block rows, categorical feature columns) int32, schema order
+    labels: np.ndarray  # class indices of this dataset's rows
     tokens: list[list[str]]  # per categorical column, schema order: distinct stripped tokens
     rejected_rows: list[int] = field(default_factory=list)
+    index: np.ndarray | None = None  # block rows of this dataset, in order; None: every one
 
     @property
     def n(self) -> int:
@@ -98,10 +105,24 @@ class RawDataset:
     def class_names(self) -> list[str]:
         return list(self.schema.class_names)
 
+    def block_rows(self, start: int, stop: int) -> slice | np.ndarray:
+        """Rows start..stop of this dataset as a slice or an index of its blocks' rows."""
+        return slice(start, stop) if self.index is None else self.index[start:stop]
+
     def take(self, indices: np.ndarray) -> "RawDataset":
-        """New RawDataset of the given rows, sharing the token tables (used by split and k-fold)."""
-        return RawDataset(self.schema, [c[indices] for c in self.columns], self.labels[indices],
-                          self.tokens)
+        """The given rows as an index into the same blocks: no block row is copied, and a
+        view's index is composed. Split and k-fold give sorted rows, so a split reads its
+        blocks front to back and meets each token first where the file does."""
+        index = indices if self.index is None else self.index[indices]
+        return RawDataset(self.schema, self.numbers, self.codes, self.labels[indices], self.tokens,
+                          index=index)
+
+    def compact(self) -> "RawDataset":
+        """The same rows in blocks of their own, so that the blocks a view indexes can go."""
+        if self.index is None:
+            return self
+        return RawDataset(self.schema, self.numbers[self.index], self.codes[self.index], self.labels,
+                          self.tokens, self.rejected_rows)
 
 
 @dataclass
@@ -478,8 +499,8 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
     and a chunk that ``np.loadtxt`` parses clean (see ``_chunk_reader``) is
     stored as the row loop would store it; only the other chunks go through
     the row loop. Memory: the numeric fields of kept rows fill one float64
-    block and their codes one int32 block; the returned columns are views of
-    those blocks.
+    block and their codes one int32 block, which the returned dataset holds
+    as they are.
     """
     numbers, codes = array("d"), array("i")  # row-major numeric fields and token codes of kept rows
     labels, rejected = array("q"), []
@@ -554,10 +575,9 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
         labels = np.array([rank[name] for name in label_codes.classes], dtype=np.int64)[labels]
         schema = synthetic_schema([c.name for c in feature_cols], list(rank))
 
-    numeric_cols = iter(np.frombuffer(numbers).reshape(len(labels), len(numeric_pos)).T)
-    code_cols = iter(np.frombuffer(codes, dtype=np.int32).reshape(len(labels), len(token_pos)).T)
-    columns = [next(numeric_cols) if c.kind == NUMERIC else next(code_cols) for c in feature_cols]
-    return RawDataset(schema, columns, labels, [c.tokens for c in coders], rejected)
+    return RawDataset(schema, np.frombuffer(numbers).reshape(len(labels), len(numeric_pos)),
+                      np.frombuffer(codes, dtype=np.int32).reshape(len(labels), len(token_pos)),
+                      labels, [c.tokens for c in coders], rejected)
 
 
 def write_csv(d: Dataset, path: str) -> None:
@@ -578,6 +598,12 @@ def numeric_schema(d: Dataset) -> DatasetSchema:
 # Categorical encoding
 # --------------------------------------------------------------------------
 
+# Rows of the numeric block CategoricalEncoder.rows copies out of a split's index at once:
+# small, as the traced peak of an 8,000-row 50/50 PCA run grows with it (1.45 encoded
+# matrices at 1,024 rows, against 1.38 at 256 and a bound of 1.4).
+_GATHER_ROWS = 256
+
+
 class CategoricalEncoder:
     """Token -> number encoder fitted, when it is made, on the rows of one RawDataset.
 
@@ -592,11 +618,13 @@ class CategoricalEncoder:
             raise ConfigError(f"unknown encoding strategy '{strategy}'")
         self.strategy = strategy
         # per categorical column: token -> count over the rows of raw, in first-seen order
-        categorical = [(c.name, codes) for c, codes in zip(raw.schema.feature_columns(), raw.columns)
-                       if c.kind == CATEGORICAL]
-        self.occurrences: dict[str, dict[str, int]] = {
-            name: {table[code]: count for code, count in Counter(codes.tolist()).items()}
-            for (name, codes), table in zip(categorical, raw.tokens)}
+        names = [c.name for c in raw.schema.feature_columns() if c.kind == CATEGORICAL]
+        self.occurrences: dict[str, dict[str, int]] = {}
+        for j, (name, table) in enumerate(zip(names, raw.tokens)):
+            codes, first, counts = np.unique(raw.codes[raw.block_rows(0, raw.n), j],
+                                             return_index=True, return_counts=True)
+            order = np.argsort(first)
+            self.occurrences[name] = {table[c]: int(k) for c, k in zip(codes[order], counts[order])}
 
     def feature_names(self, schema: DatasetSchema) -> list[str]:
         """The names of the encoded columns, in order."""
@@ -612,22 +640,40 @@ class CategoricalEncoder:
     def rows(self, raw: RawDataset) -> Rows:
         """The encoded rows of ``raw``, which ``fill`` writes for any range of rows into a
         buffer. Each categorical column's token table is mapped through the vocabulary here,
-        once per distinct token, and ``fill`` gathers a block's codes from that lookup."""
+        once per distinct token, and ``fill`` gathers a block's codes from that lookup. It
+        gathers the block's numeric fields ``_GATHER_ROWS`` rows at a time, so a split that
+        indexes the loaded blocks needs no block-sized copy of them, and writes each run of
+        numeric columns that stay adjacent once encoded with one slice assignment."""
         tables = iter(raw.tokens)
-        parts = []  # (first output column, one-hot width or 0, column, code lookup or None)
-        at = 0
-        for col, values in zip(raw.schema.feature_columns(), raw.columns):
-            width, lookup = 0, None
+        runs = []  # [first output column, first numeric column, run length]
+        parts = []  # (first output column, one-hot width or 0, categorical column, code lookup)
+        at = numeric = 0
+        for col in raw.schema.feature_columns():
             if col.kind == CATEGORICAL:
                 index = {tok: i for i, tok in enumerate(self.occurrences.get(col.name, {}))}
                 lookup = np.array([index.get(tok, len(index)) for tok in next(tables)], dtype=np.intp)
                 width = len(index) + 1 if self.strategy == "onehot" else 0
-            parts.append((at, width, values, lookup))
-            at += width or 1
+                parts.append((at, width, len(parts), lookup))
+                at += width or 1
+                continue
+            if runs and runs[-1][0] + runs[-1][2] == at:  # the column before was numeric too
+                runs[-1][2] += 1
+            else:
+                runs.append([at, numeric, 1])
+            at, numeric = at + 1, numeric + 1
 
         def fill(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-            for at, width, values, lookup in parts:
-                values = values[start:stop] if lookup is None else lookup[values[start:stop]]
+            buffer = np.empty((min(stop - start, _GATHER_ROWS), raw.numbers.shape[1]))
+            for lo in range(start, stop, _GATHER_ROWS):
+                hi = min(lo + _GATHER_ROWS, stop)
+                # mode "raise" would gather into a temporary first; the index is valid
+                numbers = raw.numbers[lo:hi] if raw.index is None else np.take(
+                    raw.numbers, raw.index[lo:hi], axis=0, out=buffer[:hi - lo], mode="clip")
+                for at, first, width in runs:
+                    out[lo - start:hi - start, at:at + width] = numbers[:, first:first + width]
+            picked = raw.block_rows(start, stop)
+            for at, width, j, lookup in parts:
+                values = lookup[raw.codes[picked, j]]
                 if width:
                     out[:, at:at + width] = 0.0
                     out[np.arange(stop - start), at + values] = 1.0
@@ -693,7 +739,8 @@ def holdout_rows(n: int, test_fraction: float, seed: int) -> tuple[np.ndarray, n
 
 
 def split(d: Dataset | RawDataset, test_fraction: float, seed: int) -> SplitPair:
-    """The rows of ``d``, encoded or only parsed, partitioned by ``holdout_rows``."""
+    """The rows of ``d``, encoded or only parsed, partitioned by ``holdout_rows``. The halves
+    of parsed rows are row indices into ``d``'s blocks; encoded ones are copies."""
     train_idx, test_idx = holdout_rows(d.n, test_fraction, seed)
     return SplitPair(train=d.take(train_idx), test=d.take(test_idx))
 

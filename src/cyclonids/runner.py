@@ -13,9 +13,12 @@ those blocks, and each split is then read standardized as it is encoded.
 Without PCA it is read once, into the one matrix the selector and the
 classifier take; PCA fits and projects the blocks as they are read, so its
 path never builds a split. No feature matrix of the whole input is ever
-built, and each matrix goes after its last use. The runner fits the run's
-only standardizer, whatever the selector, and the selector and the
-classifier see only standardized rows. No statistic of the test split ever
+built, and each matrix goes after its last use. A split is a row index into
+the loaded rows; the test split copies its own rows out once the fit pass
+has read the training rows for the last time, so the loaded rows go before
+the classifier, or Boruta, is fitted. The runner fits the run's only
+standardizer, whatever the selector, and the selector and the classifier
+see only standardized rows. No statistic of the test split ever
 reaches a fitted component, and every random stage is seeded, so for one
 BLAS build and thread count a config reproduces its report apart from
 wall-clock timings. k-fold runs the same post-split pipeline per fold,
@@ -153,7 +156,8 @@ def _load_stage(cfg: ExperimentConfig) -> RawDataset:
     """The input rows before encoding: parsed from a CSV file, or generated."""
     if cfg.synth is not None:
         d, _ = gen_classification(cfg.synth)
-        return RawDataset(numeric_schema(d), list(d.features.T), d.labels, tokens=[])
+        return RawDataset(numeric_schema(d), d.features, np.empty((d.n, 0), np.int32), d.labels,
+                          tokens=[])
     return load_csv(cfg.data_path, None if cfg.schema == "synthetic" else schema_by_name(cfg.schema))
 
 
@@ -271,7 +275,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     with _clock(timings, "split"):
         parsed = _parsed_summary(raw)
         halves = list(split(raw, cfg.test_fraction, cfg.seed))
-        del raw  # the splits hold copies of its rows
+        del raw  # the splits index its blocks, which go once the test split has its own
         if halves[0].n < 2:
             raise DataError(f"the training split holds {halves[0].n} of {parsed['n_rows']} rows; "
                             "fitting needs at least 2 (use a smaller --test-fraction or more rows)")
@@ -285,11 +289,13 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
     training rows, then an apply pass over the test rows. Each stage's seconds go to
     ``timings``.
 
-    ``halves`` = [train, test] parsed rows. Each pass pops its split's rows, so the
-    caller's list keeps neither alive once it is encoded, and the training matrix goes
-    before the test rows are encoded: at most one split's matrix exists at a time. A
-    split's numeric columns and codes go once its matrix, or on the PCA path its
-    projection, exists.
+    ``halves`` = [train, test] parsed rows, each an index into the same loaded blocks.
+    Each pass pops its split's rows, so the caller's list keeps neither alive once it is
+    encoded, and the training matrix goes before the test rows are encoded: at most one
+    split's matrix exists at a time. Once the training rows have been read for the last
+    time (into the training matrix, or on the PCA path by the fit and the projection), the
+    test split gets its rows in blocks of its own, so the loaded blocks go before the
+    classifier, or Boruta, is fitted; that copy is timed as part of the split.
 
     Returns the test split's evaluation and ``record(parsed)``, which builds the holdout
     run's RunRecord from the fitted components: only that serializes a model, so a
@@ -303,9 +309,15 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
     with _clock(timings, "standardize"):
         standardizer = preprocess.fit_standardizer(train.features)
         train = _standardized(cfg, standardizer, train)
+    if cfg.selector != "pca":  # the training matrix holds the training rows
+        with _clock(timings, "split"):
+            halves[0] = halves[0].compact()
     with _clock(timings, "select"):
         selector_report, selector_obj, select = _select_stage(cfg, train)
         train = select(train)
+    if cfg.selector == "pca":  # the projection was the training rows' last read
+        with _clock(timings, "split"):
+            halves[0] = halves[0].compact()
     with _clock(timings, "train"):
         class_names, selected_names = list(train.class_names), list(train.feature_names)
         if cfg.classifier == "rf":

@@ -284,7 +284,7 @@ def reference_read_synthetic_schema(path: str):
             header = handle.readline().strip().split(",")
             classes: dict[str, None] = {}
             for row in csv.reader(handle):
-                if row:
+                if row and (len(row) > 1 or row[0].strip()):  # load_csv skips blank records
                     classes.setdefault(row[-1].strip(), None)
     except OSError as exc:
         raise unreadable(path, exc) from None
@@ -315,26 +315,39 @@ def _reference_looks_like_header(row: list[str], schema) -> bool:
     return any(_reference_parse_numeric(row[pos]) is None for pos in numeric_positions)
 
 
+def raw_columns(raw: RawDataset) -> list[np.ndarray]:
+    """The feature columns of ``raw``'s rows in schema order: float64 numeric columns and the
+    int32 codes of each categorical one."""
+    rows = raw.block_rows(0, raw.n)
+    numbers, codes = iter(raw.numbers[rows].T), iter(raw.codes[rows].T)
+    return [next(codes) if col.kind == CATEGORICAL else next(numbers)
+            for col in raw.schema.feature_columns()]
+
+
 def decode_columns(raw: RawDataset) -> list[np.ndarray]:
     """The feature columns of ``raw`` in schema order, each categorical column decoded into an
     object array of its tokens."""
     tables = iter(raw.tokens)
     return [np.array(next(tables), dtype=object)[values] if col.kind == CATEGORICAL else values
-            for col, values in zip(raw.schema.feature_columns(), raw.columns)]
+            for col, values in zip(raw.schema.feature_columns(), raw_columns(raw))]
 
 
 def raw_dataset(schema, columns, labels, rejected_rows=()) -> RawDataset:
     """A RawDataset of schema-order feature columns, each categorical one given as tokens:
     its table holds the distinct tokens in first-seen order, its codes are int32."""
-    tokens, coded = [], []
+    n = len(labels)
+    tokens, numbers, codes = [], [], []
     for col, values in zip(schema.feature_columns(), columns):
         if col.kind == CATEGORICAL:
             table = list(dict.fromkeys(values.tolist()))
             index = {tok: i for i, tok in enumerate(table)}
             tokens.append(table)
-            values = np.array([index[tok] for tok in values.tolist()], dtype=np.int32)
-        coded.append(values)
-    return RawDataset(schema, coded, np.asarray(labels), tokens, list(rejected_rows))
+            codes.append([index[tok] for tok in values.tolist()])
+        else:
+            numbers.append(values)
+    return RawDataset(schema, np.array(numbers, dtype=np.float64).reshape(-1, n).T.copy(),
+                      np.array(codes, dtype=np.int32).reshape(-1, n).T.copy(),
+                      np.asarray(labels), tokens, list(rejected_rows))
 
 
 class ReferenceLoad(NamedTuple):

@@ -325,6 +325,9 @@ _PARENT_KFOLD = {  # (accuracy, macro F1) per fold, as recorded when each fold w
              [0.5243770250974793, 0.594, 0.2705768921741925]),
     "pca": ([0.5376884422110553, 0.5326633165829145, 0.535],
             [0.28900567634461194, 0.3116991488926845, 0.3213776326739645]),
+    # recorded when each fold's parsed rows were copied; each fold is now an index into them
+    "svm": ([0.8793969849246231, 0.8894472361809045, 0.89],
+            [0.5251396259968324, 0.5245468261310074, 0.5244150026904786]),
     # fold 4 re-recorded when the SVM began to stop on its relative duality gap
     "synthetic": ([0.6266666666666667, 0.6666666666666666, 0.76, 0.8133333333333334],
                   [0.5692307692307693, 0.6030563243677998, 0.6996983408748113, 0.7471309097115549]),
@@ -335,10 +338,12 @@ _PARENT_KFOLD = {  # (accuracy, macro F1) per fold, as recorded when each fold w
 def test_kfold_per_fold_scores_are_pinned(tmp_path, case):
     if case == "synthetic":
         cfg = _cfg(synth=SynthConfig(300, 2, 3, 3, 1.5, seed=5), folds=4, classifier="svm")
-    else:  # ordinal encoding for none+rf, one-hot for pca+rf
+    else:  # ordinal encoding for none+rf and none+svm, one-hot for pca+rf
         path = str(tmp_path / "kdd.csv")
         _write_kdd_like(path, 600, malformed=(5, 321), n_services=40, seed=4)
-        cfg = _kdd_cfg(path, case)
+        cfg = _kdd_cfg(path, "none" if case == "svm" else case)
+        if case == "svm":
+            cfg.classifier, cfg.encoding = "svm", "ordinal"
         cfg.folds = 3
     summary = run_kfold(cfg)
     assert (summary["accuracy_per_fold"], summary["macro_f1_per_fold"]) == _PARENT_KFOLD[case]
@@ -533,10 +538,11 @@ def test_pca_run_holds_each_feature_matrix_only_until_its_last_use(tmp_path):
     finally:
         tracemalloc.stop()
     # No matrix of all rows is built: each split is encoded on its own. At
-    # this 80/20 split the standardize and select stages reach about 1.9
-    # encoded matrices (the training split and its next copy, beside the test
-    # split), and the forest's fixed-size split-search buffers take training
-    # to about 2.0.
+    # this 80/20 split the peak, about 1.99 encoded matrices, is in the
+    # training split's projection, beside the loaded rows that both splits
+    # index (0.36). Copying each split's parsed rows read 1.94: the copies
+    # took the room of the loaded rows, without the row indices and the
+    # buffer a split's rows are gathered through.
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
     assert peak < 2.5 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
 
@@ -555,8 +561,8 @@ def test_even_split_pca_run_peaks_below_two_encoded_matrices(tmp_path):
     # Encoding all rows and then splitting them held two encoded matrices at
     # once (about 2.1), and holding both standardized splits beside both
     # projections about 1.96. Encoding each split on its own and dropping each
-    # standardized split once its projection exists peak at about 1.6: three
-    # half-matrices, in the standardize stage. With fewer rows the forest's
+    # standardized split once its projection exists peaks at about 1.38, in
+    # the training split's projection. With fewer rows the forest's
     # fixed-size split-search buffers, not the matrices, would set the peak.
     assert rec.selector_report["components_retained"] > 0.8 * rec.dataset_summary["n_features"]
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
@@ -576,10 +582,12 @@ def test_even_split_pca_run_holds_one_split_matrix_at_a_time(tmp_path):
         tracemalloc.stop()
     # The training split is fitted and dropped before the test rows are
     # encoded, and each split is read standardized a block at a time. The
-    # peak, about 1.36, is in the training split's projection: the one block
+    # peak, about 1.38, is in the training split's projection: the one block
     # buffer, here the whole 4,000-row split (0.5), beside the k-column output
-    # and both splits' parsed rows. Copying each split to standardize it, and
-    # centring it for PCA, read 1.58.
+    # and the loaded rows that both splits index (0.37). The test split copies
+    # its rows out only after that projection; keeping it an index until the
+    # end read 1.404. Copying each split to standardize it, and centring it
+    # for PCA, read 1.58.
     assert rec.selector_report["components_retained"] > 0.8 * rec.dataset_summary["n_features"]
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
     assert peak < 1.4 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
@@ -598,11 +606,12 @@ def test_even_split_boruta_run_builds_each_matrix_after_its_parsed_rows_are_read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Each split's matrix is filled in the standardize stage, and the split's
-    # parsed rows and codes go with its encoded rows once it is: Boruta holds the
-    # training matrix and its shadow copy, beside the test split's parsed rows,
-    # at about 3.6. Filling the matrix inside the select stage kept the parsed
-    # training rows alive while Boruta ran: 4.1.
+    # The training matrix is filled in the standardize stage; the test split
+    # then copies its rows out of the loaded rows, which go before Boruta
+    # runs. Boruta holds the training matrix and its shadow copy, beside the
+    # test split's rows, at about 3.07. Making that copy after the select
+    # stage kept the loaded rows alive while Boruta ran: 3.59. Filling the
+    # matrix inside the select stage read 4.1.
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
     assert peak < 3.9 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
 
@@ -619,9 +628,11 @@ def test_pca_run_builds_no_encoded_split(tmp_path):
     finally:
         tracemalloc.stop()
     # Each split is read encoded and standardized 4,096 rows at a time, so the
-    # run holds the parsed rows, one block and the k-column projections. The
-    # peak, about 0.82, is in split, which holds the parsed rows twice.
-    # Encoding the whole training split read 1.24.
+    # run holds the parsed rows, one block and the k-column projections. A
+    # split is an index into the loaded rows, so the peak, about 0.66, is in
+    # the training split's projection. Copying each split's parsed rows at the
+    # split held them twice there: 0.77. Encoding the whole training split
+    # read 1.24.
     assert rec.selector_report["components_retained"] < 0.1 * rec.dataset_summary["n_features"]
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
-    assert peak < 1.0 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
+    assert peak < 0.72 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
