@@ -136,17 +136,11 @@ class Dataset:
     features: np.ndarray  # (n, p) float64
     labels: np.ndarray  # (n,) int
     feature_names: list[str]
-    schema_id: str
     class_names: list[str]
 
     def __post_init__(self) -> None:
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.validate()
-        self.features.setflags(write=False)
-        self.labels.setflags(write=False)
-
-    def validate(self) -> None:
         n, p = self.features.shape if self.features.ndim == 2 else (0, 0)
         if n == 0 or p == 0:
             raise DataError(f"dataset must be a non-empty 2-D matrix, got shape {self.features.shape}")
@@ -158,6 +152,8 @@ class Dataset:
             raise DataError("label index outside class_names range")
         if not all_finite(self.features):
             raise DataError("feature matrix contains NaN or infinite entries")
+        self.features.setflags(write=False)
+        self.labels.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -173,7 +169,6 @@ class Dataset:
             features=self.features[indices],
             labels=self.labels[indices],
             feature_names=list(self.feature_names),
-            schema_id=self.schema_id,
             class_names=list(self.class_names),
         )
 
@@ -285,13 +280,12 @@ def ugransome_schema() -> DatasetSchema:
     return DatasetSchema("ugransome", cols, _UGRANSOME_CLASSES, dict(_UGRANSOME_LABEL_MAP))
 
 
-def synthetic_schema(feature_names: list[str], class_names: list[str],
-                     schema_id: str = "synthetic") -> DatasetSchema:
+def synthetic_schema(feature_names: list[str], class_names: list[str]) -> DatasetSchema:
     """All-numeric schema with a trailing label column."""
     cols = [ColumnSchema(name, NUMERIC, i) for i, name in enumerate(feature_names)]
     cols.append(ColumnSchema("label", LABEL, len(feature_names)))
     label_map = {name.lower(): name for name in class_names}
-    return DatasetSchema(schema_id, tuple(cols), tuple(class_names), label_map)
+    return DatasetSchema("synthetic", tuple(cols), tuple(class_names), label_map)
 
 
 def schema_by_name(name: str) -> DatasetSchema:
@@ -377,7 +371,8 @@ class _Labels(dict):
     """Class index of each distinct raw label token, found once per token: a label equal to a
     class name is that class, any other goes through the case-folded ``label_map``, and one
     that maps to no class raises KeyError. ``classes`` is set when the classes are inferred:
-    each stripped label is then a class, indexed in first-seen order."""
+    each stripped label is then a class, indexed in first-seen order, and a blank one raises
+    KeyError."""
 
     def __init__(self, schema: DatasetSchema, infer: bool) -> None:
         super().__init__()
@@ -387,6 +382,8 @@ class _Labels(dict):
     def __missing__(self, token: str) -> int:
         stripped, names = token.strip(), self.schema.class_names
         if self.classes is not None:
+            if not stripped:
+                raise KeyError(token)
             code = self.classes.setdefault(stripped, len(self.classes))
         elif stripped in names:  # before case folding
             code = names.index(stripped)
@@ -483,17 +480,18 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
 
     ``schema=None`` reads a CSV as ``cyclonids gen`` writes it: the first
     non-empty record names the features, the last column is the label, and
-    the classes are the sorted distinct stripped labels, matched verbatim.
-    Otherwise a first record whose numeric fields do not all parse is a
-    header. Numeric fields become floats, each categorical column becomes
-    int32 codes into its table of stripped tokens in first-seen order, and
-    labels become class indices: a label equal to a class name is that
-    class, and any other goes through the case-folded ``label_map``. A row
-    whose numeric fields do not all parse to finite floats is dropped in the
-    row loop and its 1-based line number recorded in ``rejected_rows``. A
-    wrong field count, an unmapped label, an inferred header naming a column
-    twice, a field over ``csv.field_size_limit()`` or a byte that is not
-    UTF-8 aborts the load; a byte-order mark is skipped.
+    the classes are the sorted distinct stripped labels, matched verbatim;
+    a blank label is an unknown one. Otherwise the first record is a header
+    when none of its numeric fields parses, so a first data row with one bad
+    number is rejected like any other. Numeric fields become floats, each
+    categorical column becomes int32 codes into its table of stripped tokens
+    in first-seen order, and labels become class indices: a label equal to a
+    class name is that class, and any other goes through the case-folded
+    ``label_map``. A row whose numeric fields do not all parse to finite
+    floats is dropped in the row loop and its 1-based line number recorded
+    in ``rejected_rows``. A wrong field count, an unknown label, an inferred
+    header naming a column twice, a field over ``csv.field_size_limit()`` or
+    a byte that is not UTF-8 aborts the load; a byte-order mark is skipped.
 
     Speed: after the first record, lines are read ``_CHUNK_LINES`` at a time
     and a chunk that ``np.loadtxt`` parses clean (see ``_chunk_reader``) is
@@ -521,7 +519,7 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
             numeric_pos = [c.position for c in feature_cols if c.kind == NUMERIC]
             token_pos = [c.position for c in feature_cols if c.kind == CATEGORICAL]
             numeric, categorical = _fields(numeric_pos), _fields(token_pos)
-            if not infer and row and (len(row) != schema.arity or all(
+            if not infer and row and (len(row) != schema.arity or not numeric_pos or any(
                     _parse_numeric(row[p]) is not None for p in numeric_pos)):
                 # not a header: a data row, or one whose arity the loop reports
                 records = itertools.chain([(lineno, row)], records)
@@ -587,11 +585,6 @@ def write_csv(d: Dataset, path: str) -> None:
         writer.writerow(list(d.feature_names) + ["label"])
         for row, label in zip(d.features, d.labels):
             writer.writerow([repr(float(v)) for v in row] + [d.class_names[label]])
-
-
-def numeric_schema(d: Dataset) -> DatasetSchema:
-    """Schema describing a Dataset as written by write_csv (all-numeric, label last)."""
-    return synthetic_schema(list(d.feature_names), list(d.class_names), schema_id=d.schema_id)
 
 
 # --------------------------------------------------------------------------
@@ -691,7 +684,6 @@ class Blocks:
     features: Rows
     labels: np.ndarray
     feature_names: list[str]
-    schema_id: str
     class_names: list[str]
 
     n = property(lambda self: self.features.n)
@@ -701,7 +693,7 @@ class Blocks:
         rows = self.features
         return Dataset(features=rows.fill(0, rows.n, np.empty((rows.n, rows.p))),
                        labels=self.labels.copy(), feature_names=list(self.feature_names),
-                       schema_id=self.schema_id, class_names=list(self.class_names))
+                       class_names=list(self.class_names))
 
 
 def encode_categoricals(raw: RawDataset, encoder: CategoricalEncoder | str = "onehot") -> Blocks:
@@ -713,8 +705,7 @@ def encode_categoricals(raw: RawDataset, encoder: CategoricalEncoder | str = "on
     """
     if isinstance(encoder, str):
         encoder = CategoricalEncoder(encoder, raw)
-    return Blocks(encoder.rows(raw), raw.labels, encoder.feature_names(raw.schema),
-                  raw.schema.id, raw.class_names)
+    return Blocks(encoder.rows(raw), raw.labels, encoder.feature_names(raw.schema), raw.class_names)
 
 
 # --------------------------------------------------------------------------

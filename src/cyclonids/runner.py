@@ -51,7 +51,7 @@ from . import preprocess
 from . import svm as svm_mod
 from .boruta import BorutaConfig
 from .dataset import (Blocks, CategoricalEncoder, Dataset, RawDataset, class_distribution,
-                      encode_categoricals, load_csv, numeric_schema, schema_by_name, split)
+                      encode_categoricals, load_csv, schema_by_name, split, synthetic_schema)
 from .errors import ConfigError, DataError
 from .forest import ForestConfig
 from .metrics import EvaluationReport
@@ -156,8 +156,8 @@ def _load_stage(cfg: ExperimentConfig) -> RawDataset:
     """The input rows before encoding: parsed from a CSV file, or generated."""
     if cfg.synth is not None:
         d, _ = gen_classification(cfg.synth)
-        return RawDataset(numeric_schema(d), d.features, np.empty((d.n, 0), np.int32), d.labels,
-                          tokens=[])
+        return RawDataset(synthetic_schema(d.feature_names, d.class_names), d.features,
+                          np.empty((d.n, 0), np.int32), d.labels, tokens=[])
     return load_csv(cfg.data_path, None if cfg.schema == "synthetic" else schema_by_name(cfg.schema))
 
 
@@ -253,7 +253,7 @@ def _select_stage(cfg: ExperimentConfig, train: Dataset | Blocks):
     components = [f"PC{i + 1}" for i in range(k)]
     return report, model, lambda d: Dataset(
         features=pca_mod.transform(model, d.features, k), labels=d.labels,
-        feature_names=list(components), schema_id=d.schema_id, class_names=d.class_names)
+        feature_names=list(components), class_names=d.class_names)
 
 
 @contextlib.contextmanager

@@ -70,7 +70,6 @@ def gen_classification(cfg: SynthConfig) -> tuple[Dataset, set[int]]:
         features=features,
         labels=labels,
         feature_names=[f"f{i}" for i in range(p)],
-        schema_id="synthetic",
         class_names=[f"c{i}" for i in range(k)],
     )
     return d, informative

@@ -284,7 +284,8 @@ def reference_read_synthetic_schema(path: str):
             header = handle.readline().strip().split(",")
             classes: dict[str, None] = {}
             for row in csv.reader(handle):
-                if row and (len(row) > 1 or row[0].strip()):  # load_csv skips blank records
+                # load_csv skips blank records and stops at a blank label
+                if row and (len(row) > 1 or row[0].strip()) and row[-1].strip():
                     classes.setdefault(row[-1].strip(), None)
     except OSError as exc:
         raise unreadable(path, exc) from None
@@ -312,7 +313,7 @@ def _reference_looks_like_header(row: list[str], schema) -> bool:
                          if c.kind == NUMERIC and c.position not in schema.drop_columns]
     if not numeric_positions:
         return False
-    return any(_reference_parse_numeric(row[pos]) is None for pos in numeric_positions)
+    return all(_reference_parse_numeric(row[pos]) is None for pos in numeric_positions)
 
 
 def raw_columns(raw: RawDataset) -> list[np.ndarray]:

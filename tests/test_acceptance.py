@@ -158,8 +158,7 @@ def test_criterion_5_classifier_floor():
     xor_y = np.array([0, 0, 1, 1])
     ceiling = best_linear_rule_accuracy(xor_x, xor_y)
     from cyclonids.dataset import Dataset
-    xor_d = Dataset(features=xor_x, labels=xor_y, feature_names=["x1", "x2"],
-                    schema_id="synthetic", class_names=["a", "b"])
+    xor_d = Dataset(features=xor_x, labels=xor_y, feature_names=["x1", "x2"], class_names=["a", "b"])
     xor_model = train_svm(xor_d, SVMConfig(c=10.0))
     xor_acc = float(np.mean(svm_predict(xor_model, xor_x) == xor_y))
 

@@ -337,6 +337,34 @@ def test_run_synthetic_labels_ending_in_a_period(tmp_path, capsys):
     assert report["dataset"]["class_distribution"] == {"x.": 20, "y.": 20}
 
 
+def test_run_synthetic_blank_label_exits_3(tmp_path, capsys):
+    path = tmp_path / "blank.csv"
+    path.write_text("f0,f1,label\n1,2,a\n3,4,\n5,6,b\n7,8,a\n")
+    code = main(["run", "--schema", "synthetic", "--data", str(path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "unknown label '' at row 3" in err
+    assert "Traceback" not in err
+
+
+def _rf_seed_report(out, *flags):
+    code = main(["run", "--schema", "synthetic", "--synth", "n=400,inf=3,noise=5,classes=2,sep=2,seed=1",
+                 "--rf-trees", "10", "--seed", "42", "--out", str(out), *flags])
+    assert code == 0
+    return json.load(open(out / "report.json"))
+
+
+def test_rf_seed_reseeds_the_forest_alone(tmp_path, capsys):
+    default = _rf_seed_report(tmp_path / "default")
+    other = _rf_seed_report(tmp_path / "seven", "--rf-seed", "7")
+    assert other["config"]["forest"]["seed"] == 7
+    assert other["dataset"]["n_train"] == default["dataset"]["n_train"]
+    assert other["component_digests"]["standardizer"] == default["component_digests"]["standardizer"]
+    assert other["component_digests"]["classifier"] != default["component_digests"]["classifier"]
+    same = _rf_seed_report(tmp_path / "same", "--rf-seed", "42")
+    assert same["component_digests"] == default["component_digests"]
+
+
 @pytest.mark.parametrize("folds", [None, "3"])
 def test_run_out_existing_file_fails_before_loading(tmp_path, capsys, folds):
     out = tmp_path / "taken"

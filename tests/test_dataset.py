@@ -12,8 +12,8 @@ from cyclonids import dataset as dataset_mod
 from cyclonids.dataset import (CATEGORICAL, LABEL, NUMERIC, CategoricalEncoder, Dataset,
                                DatasetSchema, class_distribution, encode_categoricals,
                                holdout_rows, kdd99_schema, load_csv, nslkdd_schema,
-                               numeric_schema, schema_by_name, split, synthetic_schema,
-                               ugransome_schema, write_csv)
+                               schema_by_name, split, synthetic_schema, ugransome_schema,
+                               write_csv)
 from cyclonids.errors import ConfigError, DataError
 from cyclonids.synthgen import SynthConfig, gen_classification
 from oracles import (decode_columns, raw_columns, reference_load_csv,
@@ -129,6 +129,21 @@ def test_header_autodetect(tmp_path):
     assert a.labels.tolist() == b.labels.tolist()
 
 
+@pytest.mark.parametrize("layout", ["kdd99", "ugransome"])
+def test_first_row_with_one_malformed_number_is_rejected_not_taken_as_a_header(tmp_path, layout):
+    # A first record is a header only when none of its numeric fields parses.
+    if layout == "kdd99":
+        rows = [_kdd_row(("neptune.", "normal.")[i % 2]) for i in range(5)]
+        rows[0] = rows[0].replace("SF,1,", "SF,?,", 1)  # src_bytes, field 5
+    else:
+        rows = [UGRANSOME_ROW] * 5
+        rows[0] = UGRANSOME_ROW.replace("5062", "not-a-port")
+    path = _write(tmp_path, "first.csv", "\n".join(rows) + "\n")
+    raw = load_csv(path, schema_by_name(layout))
+    assert (raw.n, raw.rejected_rows) == (4, [1])
+    _assert_same_load(raw, reference_load_csv(path, schema_by_name(layout)), path)
+
+
 def test_bad_numeric_rows_rejected_with_line_numbers(tmp_path):
     bad = UGRANSOME_ROW.replace("5062", "not-a-port")
     path = _write(tmp_path, "ug.csv", UGRANSOME_ROW + "\n" + bad + "\n" + UGRANSOME_ROW + "\n")
@@ -191,6 +206,15 @@ def test_synthetic_whitespace_line_adds_no_class(tmp_path):
     raw = load_csv(path, None)
     assert raw.schema.class_names == ("a", "b")
     assert raw.labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("blank", ["", "   "])
+def test_blank_synthetic_label_is_an_unknown_label(tmp_path, blank):
+    path = _write(tmp_path, "s.csv", f"f0,f1,label\n1,2,a\n3,4,{blank}\n5,6,b\n7,8,a\n")
+    with pytest.raises(DataError, match=r"^unknown label '' at row 3$"):
+        load_csv(path, None)
+    with pytest.raises(DataError, match=r"^unknown label '' at row 3$"):
+        reference_load_csv(path, reference_read_synthetic_schema(path))
 
 
 def test_synthetic_header_naming_a_column_twice_is_an_error(tmp_path):
@@ -626,7 +650,7 @@ def test_csv_round_trip(tmp_path):
     d, _ = gen_classification(SynthConfig(60, 2, 3, 3, 2.5, seed=11))
     path = str(tmp_path / "rt.csv")
     write_csv(d, path)
-    back = encode_categoricals(load_csv(path, numeric_schema(d))).dataset()
+    back = encode_categoricals(load_csv(path, synthetic_schema(d.feature_names, d.class_names))).dataset()
     assert np.array_equal(back.features, d.features)
     assert np.array_equal(back.labels, d.labels)
     assert back.feature_names == d.feature_names
@@ -637,8 +661,7 @@ def test_csv_round_trip(tmp_path):
 def _tiny_dataset(n, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset(features=rng.standard_normal((n, 3)), labels=rng.integers(0, 2, n),
-                   feature_names=["a", "b", "c"], schema_id="synthetic",
-                   class_names=["c0", "c1"])
+                   feature_names=["a", "b", "c"], class_names=["c0", "c1"])
 
 
 def test_split_counts():
@@ -648,8 +671,7 @@ def test_split_counts():
 
 def test_split_large_round_half_up():
     d = Dataset(features=np.zeros((207534, 1)) + np.arange(207534)[:, None],
-                labels=np.zeros(207534, dtype=int), feature_names=["x"],
-                schema_id="synthetic", class_names=["c0", "c1"])
+                labels=np.zeros(207534, dtype=int), feature_names=["x"], class_names=["c0", "c1"])
     pair = split(d, 0.2, 42)
     assert pair.test.n == 41507
 
@@ -730,7 +752,7 @@ def test_class_distribution_includes_zero_classes(tmp_path):
 def test_dataset_rejects_nonfinite():
     with pytest.raises(DataError):
         Dataset(features=np.array([[1.0, np.nan]]), labels=np.array([0]),
-                feature_names=["a", "b"], schema_id="synthetic", class_names=["c0"])
+                feature_names=["a", "b"], class_names=["c0"])
 
 
 def test_load_peak_stays_near_its_numeric_block(tmp_path):
@@ -771,8 +793,7 @@ def test_dataset_check_holds_no_matrix_sized_temporary():
     labels = np.zeros(20000, dtype=np.int64)
     tracemalloc.start()
     try:
-        Dataset(features=m, labels=labels, feature_names=[f"f{i}" for i in range(50)],
-                schema_id="synthetic", class_names=["c0"])
+        Dataset(features=m, labels=labels, feature_names=[f"f{i}" for i in range(50)], class_names=["c0"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -781,8 +802,7 @@ def test_dataset_check_holds_no_matrix_sized_temporary():
     m = m.copy()  # the Dataset marked m read-only
     m[12345, 7] = np.inf  # in the fourth block of rows
     with pytest.raises(DataError, match="NaN or infinite"):
-        Dataset(features=m, labels=labels, feature_names=[f"f{i}" for i in range(50)],
-                schema_id="synthetic", class_names=["c0"])
+        Dataset(features=m, labels=labels, feature_names=[f"f{i}" for i in range(50)], class_names=["c0"])
 
 
 def test_dataset_is_read_only():

@@ -17,7 +17,7 @@ def _dataset(features, labels, k=2):
     return Dataset(features=np.asarray(features, dtype=float),
                    labels=np.asarray(labels, dtype=int),
                    feature_names=[f"f{i}" for i in range(np.asarray(features).shape[1])],
-                   schema_id="synthetic", class_names=[f"c{i}" for i in range(k)])
+                   class_names=[f"c{i}" for i in range(k)])
 
 
 def _train(d, cfg):

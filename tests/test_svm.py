@@ -18,7 +18,7 @@ def _dataset(features, labels, k=2):
     features = np.asarray(features, dtype=float)
     return Dataset(features=features, labels=np.asarray(labels, dtype=int),
                    feature_names=[f"f{i}" for i in range(features.shape[1])],
-                   schema_id="synthetic", class_names=[f"c{i}" for i in range(k)])
+                   class_names=[f"c{i}" for i in range(k)])
 
 
 def _separable_instance(rng):
