@@ -22,11 +22,16 @@ rows with integer weights, and each column's values are replaced once per
 forest by dense ranks (equal values share a rank). One integer sort of
 packed (segment, rank, weight, class) keys orders the rows of every (node,
 candidate) segment of a chunk of at most ``_CHUNK`` rows. Splits fall only
-between distinct values, so the order inside a tie cannot matter; class
-counts are exact integers, and each gain is computed with the same float
-expression as a scan of the node's sorted column, so every choice, and
-every importance, is bit-for-bit what that scan gives. In-flight memory is
-bounded by the group and chunk sizes, not by ``n_trees``.
+between distinct values, so the order inside a tie cannot matter. Only
+boundary points are scored: a cut between two values whose rows all hold
+one and the same class is skipped, since the Gini gain is strictly convex
+along such a run of one-class values (see ``_search``) and so peaks at one
+of its ends. Class counts are exact integers, and each scored gain is
+computed with the same float expression as a scan of the node's sorted
+column, so every choice, and every importance, is what that scan gives,
+bit for bit, unless a skipped cut's gain lies within rounding of the best
+one. In-flight memory is bounded by the group and chunk sizes, not by
+``n_trees``.
 """
 
 from __future__ import annotations
@@ -198,17 +203,52 @@ def _firsts(ids: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def _boundary_cuts(value: np.ndarray, cls: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Positions i of the cuts between sorted rows i and i + 1 that the search scores.
+
+    ``value`` orders the rows of consecutive segments starting at ``first``
+    (distinct across segments), ``cls`` holds their classes. A cut between
+    two adjacent distinct values is kept unless the rows of both values are
+    all of one and the same class; cuts at segment edges are never kept.
+    """
+    changed = value[1:] != value[:-1]
+    turn = cls[1:] != cls[:-1]
+    group = np.zeros(len(value), dtype=np.int64)  # value group of every row
+    np.cumsum(changed, out=group[1:])
+    mixed = np.zeros(len(value), dtype=bool)  # per group: it holds two classes
+    mixed[group[1:][turn & ~changed]] = True
+    in_mixed = mixed[group]
+    keep = turn | in_mixed[1:]
+    keep |= in_mixed[:-1]
+    keep &= changed
+    keep[first[1:] - 1] = False
+    return np.flatnonzero(keep)
+
+
 def _search(ranks: _Ranks, pool: _Pool, start: np.ndarray, size: np.ndarray,
             cand: np.ndarray, counts: np.ndarray):
     """Best split of every node in a batch over its ascending candidate columns.
 
     Segment ``j * mtry + c`` holds node j's rows keyed by candidate c. One
-    sort per chunk orders every segment by (segment, rank). Each boundary
-    between distinct values gets the gain a scan of that column's sorted
-    values would compute, operation for operation. Positions are visited in
-    (candidate, value) order, so the first maximum is the lowest column,
-    then the lowest threshold; a later chunk replaces a node's best only by
-    a strictly larger gain.
+    sort per chunk orders every segment by (segment, rank). Only boundary
+    points are scored (Fayyad & Irani, Machine Learning 8, 1992; Elomaa &
+    Rousu, Machine Learning 36, 1999, for the Gini index): the cuts between
+    distinct values that ``_boundary_cuts`` keeps. A dropped cut lies inside
+    a run of values whose rows are all of one class c. With L (n_L) the left
+    class counts (total) at the run's start and t the run's weight gone
+    left, the gain along the run is a constant plus
+    (K_L / (n_L + t) + K_R / (n_R - t)) / n, where
+    K_L = sum_{i != c} L_i^2 + (n_L - L_c)^2 (K_R likewise) stay fixed. That
+    is strictly convex in t unless the node is pure, so a cut inside the run
+    scores strictly below the better end of the run (a kept cut, or a
+    segment edge where the gain is 0), and every segment of an impure node
+    that holds two distinct values keeps a cut. Each kept cut gets the gain a
+    scan of that column's sorted values would compute, operation for
+    operation. Positions are visited in (candidate, value) order, so the
+    first maximum is the lowest column, then the lowest threshold; a later
+    chunk replaces a node's best only by a strictly larger gain. The gains
+    are rounded, so the choice can differ from a scan of every cut only
+    where a dropped cut's gain lies within rounding of the best kept one.
 
     Returns per node the gain (-inf when no candidate has two distinct
     values), the column, the rank of the largest value going left, and the
@@ -239,16 +279,14 @@ def _search(ranks: _Ranks, pool: _Pool, start: np.ndarray, size: np.ndarray,
         key |= sid << pool.segment_shift
         key.sort()
         m = len(key)
+        cls = key & class_mask
         # cum[c, i]: weight of class c among the segment's sorted rows up to i (inclusive).
         cum = np.zeros((k, m), dtype=np.int64)
-        cum.ravel()[(key & class_mask) * m + np.arange(m)] = (key >> pool.class_bits) & weight_mask
+        cum.ravel()[cls * m + np.arange(m)] = (key >> pool.class_bits) & weight_mask
         np.cumsum(cum, axis=1, out=cum)
         value = key >> pool.payload_bits
-        # Split positions: the last row of a value that has a larger value in its segment.
         first = np.cumsum(sizes) - sizes
-        boundary = value[1:] != value[:-1]
-        boundary[first[1:] - 1] = False
-        at = np.flatnonzero(boundary)
+        at = _boundary_cuts(value, cls, first)
         if len(at) == 0:
             continue
         seg = sid[at]

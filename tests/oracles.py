@@ -5,7 +5,8 @@ eigenvalues come from power iteration with deflation instead of a library
 eigensolver, metrics from explicit pair counting, SVM objectives from a
 multi-resolution lattice search, separability from exhaustive threshold
 enumeration, the best tree split from exhaustive midpoint enumeration
-with row-by-row class counting, the SVM's SMO trajectory from the plain
+with row-by-row class counting, the boundary points a split search scores
+from per-value class sets, the SVM's SMO trajectory from the plain
 solver that rebuilds its gradient and working sets on every step, and CSV
 loading from the two-pass loader that parses one Python float per field.
 """
@@ -186,6 +187,22 @@ def best_gini_split(x: np.ndarray, y: np.ndarray, k: int):
             if best is None or gain > best[0]:
                 best = (gain, f, threshold)
     return best
+
+
+def boundary_cuts(values, classes) -> list:
+    """The cuts a boundary-point split search scores: each distinct value ``lo`` whose cut
+    to the next larger value is kept, ascending.
+
+    A cut between two adjacent distinct values is dropped only when every
+    row of both values holds one and the same class (Fayyad & Irani's
+    boundary points); all other cuts are kept.
+    """
+    seen: dict = {}
+    for v, c in zip(values, classes):
+        seen.setdefault(v, set()).add(c)
+    distinct = sorted(seen)
+    return [lo for lo, hi in zip(distinct[:-1], distinct[1:])
+            if not (len(seen[lo]) == 1 and seen[lo] == seen[hi])]
 
 
 def _reference_bias(y_pm, f, alpha, c) -> float:

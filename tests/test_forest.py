@@ -3,14 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclonids.boruta import BorutaConfig, run_boruta
 from cyclonids.dataset import Dataset
 from cyclonids.errors import ConfigError, DataError
-from cyclonids.forest import (DecisionTree, ForestConfig, ForestModel, per_tree_importances,
-                              predict, train_forest_xy)
+from cyclonids.forest import (DecisionTree, ForestConfig, ForestModel, _boundary_cuts,
+                              per_tree_importances, predict, train_forest_xy)
 from cyclonids.synthgen import SynthConfig, gen_classification
-from oracles import best_gini_split
+from oracles import best_gini_split, boundary_cuts
 
 
 def _dataset(features, labels, k=2):
@@ -316,6 +318,56 @@ def test_every_split_is_the_exhaustive_best(cfg):
     for i, tree in enumerate(model.trees):
         rows = _bootstrap(cfg, i, len(y))
         _check_node(tree, 0, x[rows], y[rows], k, 0, cfg)
+
+
+def _runs_at_both_ends():
+    """Column 0 is distinct per row, with one-class runs of 20 rows at its low and high ends."""
+    rng = np.random.default_rng(71)
+    x = rng.integers(0, 8, (64, 4)).astype(float)
+    x[:, 0] = rng.permutation(64)
+    y = rng.integers(0, 3, 64)
+    y[x[:, 0] < 20], y[x[:, 0] >= 44] = 0, 1
+    return x, y, 3
+
+
+def _class_change_inside_a_tie():
+    """Column 2 holds ten values of eight rows each; its only class change is inside value 5."""
+    rng = np.random.default_rng(72)
+    x = rng.integers(0, 6, (80, 4)).astype(float)
+    x[:, 2] = rng.permutation(np.repeat(np.arange(10.0), 8))
+    y = (x[:, 2] > 5).astype(int)
+    y[np.flatnonzero(x[:, 2] == 5)[::2]] = 1
+    return x, y, 2
+
+
+@pytest.mark.parametrize("data", [_runs_at_both_ends, _class_change_inside_a_tie,
+                                  lambda: _matrix(70, 2, 2, 5, 1.0, 73, rounded=True)],
+                         ids=["runs_at_both_ends", "class_change_inside_a_tie", "k5_rounded"])
+def test_every_split_is_the_exhaustive_best_on_runs_and_ties(data):
+    """Each bootstrap gives some rows weights above 1, so runs and ties carry weight."""
+    x, y, k = data()
+    cfg = ForestConfig(n_trees=3, mtry=4, seed=74)
+    model = train_forest_xy(x, y, k, cfg)
+    for i, tree in enumerate(model.trees):
+        rows = _bootstrap(cfg, i, len(y))
+        assert np.bincount(rows).max() > 1
+        _check_node(tree, 0, x[rows], y[rows], k, 0, cfg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segments=st.lists(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)),
+                                  min_size=1, max_size=25), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_search_scores_exactly_the_boundary_cuts(segments, seed):
+    """Multi-segment chunks sorted by (segment, value), in a random order inside each tie."""
+    seg = np.concatenate([np.full(len(s), j) for j, s in enumerate(segments)])
+    v, c = np.array([r for s in segments for r in s]).T
+    order = np.lexsort((np.random.default_rng(seed).random(len(v)), v, seg))
+    value, cls, seg = (seg << 8 | v)[order], c[order], seg[order]
+    first = np.flatnonzero(np.diff(seg, prepend=-1))
+    kept = _boundary_cuts(value, cls, first)
+    expected = [(j, lo) for j, s in enumerate(segments) for lo in boundary_cuts(*zip(*s))]
+    assert [(int(seg[i]), int(value[i] & 0xFF)) for i in kept] == expected
 
 
 def test_training_memory_stays_flat():
