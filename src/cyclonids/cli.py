@@ -80,7 +80,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rf-seed", type=int, default=None, help="defaults to --seed")
     parser.add_argument("--rf-max-depth", type=int, default=ForestConfig.max_depth)
     parser.add_argument("--svm-c", type=float, default=SVMConfig.c)
-    parser.add_argument("--svm-epochs", type=int, default=SVMConfig.max_epochs)
+    parser.add_argument("--svm-epochs", type=int, default=SVMConfig.max_epochs,
+                        help="cap on the SVM's Newton iterations per class")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:

@@ -1,41 +1,26 @@
-"""Linear soft-margin SVM trained by sequential minimal optimization.
+"""Linear soft-margin SVM trained by primal finite Newton on the squared hinge.
 
 One binary problem per class (one-vs-rest); each solves
 
-    minimize  0.5 * ||w||^2 + c * sum_i hinge(y_i, w . x_i + b)
+    minimize  0.5 * ||w||^2 + c * sum_i max(0, 1 - y_i (w . x_i + b))^2
 
-through its dual with maximal-violating-pair updates, so the bias stays
-unregularized and the solver is fully deterministic: identical inputs give
-an identical model. Inputs are assumed standardized by the caller.
+with the bias b unregularized. The squared hinge is the loss of LIBLINEAR's
+default solver (Fan et al. 2008). Inputs are assumed standardized by the
+caller, and identical inputs give an identical model.
 
-The working set is tracked incrementally, as in LIBSVM (Chang & Lin 2011)
-and Keerthi et al. (2001): a step moves only two multipliers, so only those
-two rows can enter or leave I_up and I_low, and the sets are kept between
-steps instead of being rebuilt.
+The objective is piecewise quadratic and strictly convex in w. The finite
+Newton method (Keerthi & DeCoste 2005; Chapelle 2007) starts at w = 0,
+b = 0. Each iteration takes the margin set, the rows with
+y_i (w . x_i + b) < 1, and solves one (p+1) x (p+1) system for the minimizer
+of the quadratic that holds while that set does. It then moves toward that
+minimizer by an exact line search along the piecewise quadratic. Once the
+margin set at the new point is the one its step used, the point is that
+quadratic's minimizer and so the objective's: the solve stops there, with a
+gradient that is zero up to rounding. Otherwise it stops after
+``SVMConfig.max_epochs`` iterations.
 
-The solver also shrinks (Joachims 1999; LIBSVM): the pair search and the
-gemv that updates the cached margins f run on an active set of rows, held
-as a contiguous copy of their rows of x. Every min(n, 1000) steps the set is
-re-derived from every row. With m = max(y - f) over I_up and M = min(y - f)
-over I_low, a row that is only in I_up with y - f < M, or only in I_low with
-y - f > m, cannot be picked as things stand and is left out; every other
-row, shrunk before or not, is active. The margins of shrunk rows are
-rebuilt as x @ w before that check and before each epoch's bias and
-objective. For a linear kernel w = sum_i alpha_i y_i x_i, so f_i = w . x_i
-exactly: one gemv, where a kernel SVM must sum over every support vector.
-When the active set's gap closes, every row is reactivated and the full gap
-tested again, so a closed pair gap ends the solve only where the unshrunk
-solver's could.
-
-Each epoch ends with the relative duality gap (P_best - D) / P_best, with
-P_best the best primal objective so far and D = sum(alpha) - 0.5 ||w||^2.
-SMO keeps sum(alpha_i y_i) = 0, so D <= P* <= P_best whether or not rows
-were shrunk, and a gap at most ``SVMConfig.tolerance`` ends the solve with
-that certificate for the returned model (Shalev-Shwartz & Zhang 2013).
-
-An epoch is still n steps. Active rows keep their accumulated margins, so a
-solve that never shrinks a row follows rebuilding everything per step
-(``tests/oracles.py::reference_smo``) bit for bit.
+The system and the line search are divided by 2c, so only the objective
+grows with c. A c whose objective is not finite raises NumericError.
 """
 
 from __future__ import annotations
@@ -46,18 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DataError
-
-_BOX_EPS = 1e-12
-_KKT_EPS = 1e-9
-_SHRINK_EVERY = 1000  # SMO steps between active-set checks, as in LIBSVM
+from .errors import ConfigError, DataError, NumericError
 
 
 @dataclass(frozen=True)
 class SVMConfig:
     c: float = 1.0
-    max_epochs: int = 1000
-    tolerance: float = 1e-2  # stop once the relative duality gap is at most this; in (0, 1)
+    max_epochs: int = 1000  # Newton iterations per class, at most
     seed: int = 0  # kept for interface symmetry; the solver itself is deterministic
 
     def validate(self) -> None:
@@ -65,8 +45,6 @@ class SVMConfig:
             raise ConfigError(f"c must be finite and > 0, got {self.c}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
-        if not (math.isfinite(self.tolerance) and 0.0 < self.tolerance < 1.0):
-            raise ConfigError(f"tolerance must be finite and in (0, 1), got {self.tolerance}")
 
 
 @dataclass
@@ -74,8 +52,8 @@ class SVMModel:
     weights: np.ndarray  # (k, p)
     biases: np.ndarray  # (k,)
     class_names: list[str]
-    objective_histories: list[list[float]]  # per class, best-so-far primal per epoch
-    # per solved class: epochs, steps, min_active, stop, dual_gap; not part of to_text()
+    objective_histories: list[list[float]]  # per class, the objective after each iteration
+    # per solved class: epochs, stop, margin_rows, grad_rel; not part of to_text()
     solves: dict[str, dict] = field(default_factory=dict)
 
     @property
@@ -89,156 +67,87 @@ class SVMModel:
         return "\n".join(lines)
 
 
-def _primal_objective(x, y_pm, w, b, c) -> float:
-    margins = y_pm * (x @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins).sum()
-    return 0.5 * float(w @ w) + c * float(hinge)
+def _step_length(lam: float, w, dw, slack, rate) -> float:
+    """The t >= 0 that minimizes the objective along (w, b) + t (dw, db).
 
-
-def _estimate_bias(y_pm, f, alpha, c) -> float:
-    """KKT bias: mean residual over free support vectors, else bound midpoint."""
-    r = y_pm - f
-    free = (alpha > _BOX_EPS * c) & (alpha < c * (1.0 - _BOX_EPS))
-    if free.any():
-        return float(r[free].mean())
-    at_zero = alpha <= _BOX_EPS * c
-    at_c = ~at_zero
-    lower = r[(at_zero & (y_pm > 0)) | (at_c & (y_pm < 0))]
-    upper = r[(at_zero & (y_pm < 0)) | (at_c & (y_pm > 0))]
-    if len(lower) and len(upper):
-        return float((lower.max() + upper.min()) / 2.0)
-    if len(lower):
-        return float(lower.max())
-    return float(upper.min())
+    Row i's slack 1 - y_i (w . x_i + b) moves as slack_i - t rate_i, so the
+    derivative divided by 2c is lam (w . dw + t dw . dw) minus the sum of
+    (slack_i - t rate_i) rate_i over the rows whose moving slack is positive.
+    It is piecewise linear and nondecreasing in t. A row with
+    slack_i rate_i > 0 crosses the margin at t = slack_i / rate_i: it leaves
+    the sum if rate_i > 0 and joins it if rate_i < 0. The root lies on the
+    first piece at whose end the derivative is not negative.
+    """
+    inside = (slack > 0) | ((slack == 0) & (rate < 0))
+    crossing = slack * rate > 0
+    at = slack[crossing] / rate[crossing]
+    order = np.argsort(at, kind="stable")
+    at, s, r = at[order], slack[crossing][order], rate[crossing][order]
+    sign = np.where(r > 0, 1.0, -1.0)  # +1: the row leaves the sum
+    # slope + curve * t is the derivative on piece k, from at[k-1] (or 0) to at[k]
+    slope = (lam * float(w @ dw) - float(slack[inside] @ rate[inside])
+             + np.concatenate(([0.0], np.cumsum(sign * s * r))))
+    curve = (lam * float(dw @ dw) + float(rate[inside] @ rate[inside])
+             - np.concatenate(([0.0], np.cumsum(sign * r * r))))
+    ends = slope[:-1] + curve[:-1] * at >= 0.0
+    k = int(np.argmax(ends)) if ends.any() else len(at)
+    start = at[k - 1] if k else 0.0
+    if slope[k] + curve[k] * start >= 0.0:
+        return float(start)
+    return float(-slope[k] / curve[k])
 
 
 def _solve_binary(x: np.ndarray, y_pm: np.ndarray, cfg: SVMConfig):
-    """Maximal-violating-pair SMO on the dual of the hinge-loss problem, with shrinking.
+    """Finite Newton on the squared-hinge objective of one binary problem.
 
-    The pair is the argmax of ``y - f`` over I_up and its argmin over I_low:
-    as y = +-1, ``y - f`` equals -y times the dual gradient up to the sign of
-    a zero, which neither the arg-reductions nor the gap test can see. Rows
-    outside a set hold -inf (I_up) or +inf (I_low) in place of y, so an empty
-    set gives an infinite negative gap and ends the solve like a closed one.
-
-    Returns (best_w, best_b, history, report); ``report`` holds the epochs,
-    the SMO steps, the smallest active-set size, the stop reason and the
-    last epoch's relative duality gap.
+    Returns (w, b, history, report). ``history`` holds the objective after
+    each iteration. ``report`` holds the iterations (``epochs``), the stop
+    reason (``margin_set`` or ``epoch_budget``), the final margin set's size
+    and ``grad_rel``, the final gradient's norm relative to the gradient's
+    at w = 0, b = 0.
     """
-    n, p = x.shape
-    c = cfg.c
-    below_c = c - _BOX_EPS
-    y = y_pm.tolist()
-    alpha = np.zeros(n)
-    w = np.zeros(p)
-    f = np.zeros(n)  # cached w . x_i; current for active rows, rebuilt from w for shrunk ones
-    self_dot = np.einsum("ij,ij->i", x, x)
-    # Every alpha starts at 0: I_up holds the positive rows and I_low the
-    # negative ones (both are empty if c <= _BOX_EPS).
-    y_up = np.where((y_pm > 0) & (0.0 < below_c), y_pm, -np.inf)
-    y_low = np.where((y_pm < 0) & (0.0 < below_c), y_pm, np.inf)
-
-    # The active set: ``rows`` lists its rows (None while it holds them all)
-    # and xa, fa, ya_up, ya_low are contiguous copies of its rows of x, f, y_up, y_low.
-    # With every row active they are the full arrays themselves.
-    rows = None
-    xa, fa, ya_up, ya_low = x, f, y_up, y_low
-    scores = np.empty(n)
-    check_every = min(n, _SHRINK_EVERY)
-    until_check = check_every
-
-    def sync():
-        """Write the active slices back and rebuild the shrunk rows' margins from w."""
-        if rows is not None:
-            np.matmul(x, w, out=f)
-            f[rows], y_up[rows], y_low[rows] = fa, ya_up, ya_low
-
-    def activate(keep):
-        nonlocal rows, xa, fa, ya_up, ya_low, scores
-        if keep.all():
-            rows, xa, fa, ya_up, ya_low = None, x, f, y_up, y_low
-        else:
-            rows = np.flatnonzero(keep)
-            xa, fa, ya_up, ya_low = x[rows], f[rows], y_up[rows], y_low[rows]
-        scores = np.empty(len(fa))
-
-    best_obj = _primal_objective(x, y_pm, w, 0.0, c)
-    best_w, best_b = w.copy(), 0.0
+    p = x.shape[1]
+    c, lam = cfg.c, 0.5 / cfg.c
+    w, b = np.zeros(p), 0.0
     history: list[float] = []
-    steps, min_active, stop = 0, n, "epoch_budget"
-
-    for _ in range(cfg.max_epochs):
-        taken = 0
-        while taken < n:
-            if until_check == 0:
-                # Re-derive the active set from every row: drop a row that is
-                # in one set only and on the wrong side of the other set's extreme.
-                # Only while the full gap is open, so the extremes' rows stay.
-                until_check = check_every
-                sync()
-                up_score, low_score = y_up - f, y_low - f
-                top, bottom = up_score.max(), low_score.min()
-                drop = (((y_low == np.inf) & (up_score < bottom))
-                        | ((y_up == -np.inf) & (low_score > top)))
-                activate(~drop if top - bottom > _KKT_EPS else np.ones(n, dtype=bool))
-                min_active = min(min_active, len(fa))
-
-            i = int(np.subtract(ya_up, fa, out=scores).argmax())
-            top = scores[i]
-            j = int(np.subtract(ya_low, fa, out=scores).argmin())
-            gap = top - scores[j]
-            gi, gj = (i, j) if rows is None else (rows[i], rows[j])
-            if gap <= _KKT_EPS:
-                delta = 0.0
-            else:
-                quad = max(self_dot[gi] + self_dot[gj] - 2.0 * float(xa[i] @ xa[j]), 1e-12)
-                delta = gap / quad
-                # Feasible step range along (nu_i += delta, nu_j -= delta).
-                delta_max_i = (c - alpha[gi]) if y[gi] > 0 else alpha[gi]
-                delta_max_j = alpha[gj] if y[gj] > 0 else (c - alpha[gj])
-                delta = min(delta, delta_max_i, delta_max_j)
-            if delta <= 0.0:
-                if rows is None:
-                    stop = "gap" if gap <= _KKT_EPS else "no_step"
-                    break
-                # The active set looks solved: bring every row back and test again.
-                sync()
-                activate(np.ones(n, dtype=bool))
-                continue
-
-            alpha[gi] += y[gi] * delta
-            alpha[gj] -= y[gj] * delta
-            step = delta * (xa[i] - xa[j])
-            w += step
-            fa += xa @ step
-            taken += 1
-            until_check -= 1
-
-            # Only rows i and j moved, so only they can enter or leave a set.
-            for k, g in ((i, gi), (j, gj)):
-                y_k, below, above = y[g], alpha[g] < below_c, alpha[g] > _BOX_EPS
-                ya_up[k] = y_k if (below if y_k > 0 else above) else -np.inf
-                ya_low[k] = y_k if (above if y_k > 0 else below) else np.inf
-
-        steps += taken
-        sync()
-        b = _estimate_bias(y_pm, f, alpha, c)
-        obj = _primal_objective(x, y_pm, w, b, c)
-        if obj < best_obj:
-            best_obj, best_w, best_b = obj, w.copy(), b
-        history.append(best_obj)
-        dual = float(alpha.sum()) - 0.5 * float(w @ w)
-        # A closed pair gap can leave D a rounding error above P_best: report 0 then.
-        dual_gap = max((best_obj - dual) / best_obj, 0.0) if best_obj else 0.0
-        if taken < n:
+    used = None  # the margin set of the last step
+    while True:
+        slack = 1.0 - y_pm * (x @ w + b)
+        inside = slack > 0.0
+        objective = 0.5 * float(w @ w) + c * float(slack[inside] @ slack[inside])
+        if not math.isfinite(objective):
+            raise NumericError(f"svm objective is not finite at c={c!r}; use a smaller c")
+        if used is not None:
+            history.append(objective)
+            if np.array_equal(inside, used):
+                stop = "margin_set"
+                break
+        if len(history) == cfg.max_epochs:
+            stop = "epoch_budget"
             break
-        if dual_gap <= cfg.tolerance:
-            stop = "dual_gap"
-            break
+        used = inside
+        xi, yi = x[inside], y_pm[inside]
+        if len(yi):
+            # The quadratic's minimizer: [[lam I + Xi'Xi, s], [s', m]] [w; b] = [Xi'yi; sum yi],
+            # with s the column sums of Xi and m its row count.
+            system = np.empty((p + 1, p + 1))
+            np.matmul(xi.T, xi, out=system[:p, :p])
+            system[:p, :p].flat[::p + 1] += lam
+            system[:p, p] = system[p, :p] = xi.sum(axis=0)
+            system[p, p] = len(yi)
+            target = np.linalg.solve(system, np.append(xi.T @ yi, yi.sum()))
+            dw, db = target[:p] - w, float(target[p]) - b
+        else:  # no row in the margin: the quadratic is 0.5 ||w||^2, flat in b
+            dw, db = -w, 0.0
+        t = _step_length(lam, w, dw, slack, y_pm * (x @ dw + db))
+        w, b = w + t * dw, b + t * db
 
-    report = {"epochs": len(history), "steps": steps, "min_active": min_active, "stop": stop,
-              "dual_gap": dual_gap}
-    return best_w, best_b, history, report
+    weighted = np.where(inside, slack * y_pm, 0.0)
+    gradient = math.hypot(float(np.linalg.norm(lam * w - x.T @ weighted)), float(weighted.sum()))
+    scale = math.hypot(float(np.linalg.norm(x.T @ y_pm)), float(y_pm.sum()))
+    report = {"epochs": len(history), "stop": stop, "margin_rows": int(inside.sum()),
+              "grad_rel": gradient / scale if scale else 0.0}  # scale 0: the start is optimal
+    return w, b, history, report
 
 
 def train_svm(d: Dataset, cfg: SVMConfig) -> SVMModel:

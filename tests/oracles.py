@@ -6,8 +6,7 @@ eigensolver, metrics from explicit pair counting, SVM objectives from a
 multi-resolution lattice search, separability from exhaustive threshold
 enumeration, the best tree split from exhaustive midpoint enumeration
 with row-by-row class counting, the boundary points a split search scores
-from per-value class sets, the SVM's SMO trajectory from the plain
-solver that rebuilds its gradient and working sets on every step, and CSV
+from per-value class sets, the SVM's gradient from a row-by-row sum, and CSV
 loading from the two-pass loader that parses one Python float per field.
 """
 
@@ -121,13 +120,24 @@ def best_linear_rule_accuracy(points: np.ndarray, labels: np.ndarray,
 
 def svm_primal_objective(x: np.ndarray, y_pm: np.ndarray, w: np.ndarray,
                          b: float, c: float) -> float:
-    hinge = np.maximum(0.0, 1.0 - y_pm * (x @ w + b)).sum()
-    return 0.5 * float(w @ w) + c * float(hinge)
+    slack = np.maximum(0.0, 1.0 - y_pm * (x @ w + b))
+    return 0.5 * float(w @ w) + c * float(slack @ slack)
+
+
+def svm_primal_gradient(x: np.ndarray, y_pm: np.ndarray, w: np.ndarray,
+                        b: float, c: float) -> np.ndarray:
+    """Gradient of ``svm_primal_objective`` in (w, b), summed row by row."""
+    grad = np.append(np.asarray(w, dtype=float), 0.0)
+    for row, y in zip(x, y_pm):
+        slack = 1.0 - y * (float(row @ w) + b)
+        if slack > 0.0:
+            grad -= 2.0 * c * slack * y * np.append(row, 1.0)
+    return grad
 
 
 def svm_lattice_minimum(x: np.ndarray, y_pm: np.ndarray, c: float,
                         radius: float = 8.0, grid: int = 17, levels: int = 8) -> float:
-    """Multi-resolution lattice search over (w, b) for the soft-margin objective.
+    """Multi-resolution lattice search over (w, b) for the squared-hinge objective.
 
     The objective is convex, so refining a grid around the current argmin with
     a window of two old cells cannot lose the basin.
@@ -142,8 +152,8 @@ def svm_lattice_minimum(x: np.ndarray, y_pm: np.ndarray, c: float,
         w_all, b_all = points[:, :p], points[:, p]
         margins = y_pm[None, :] * (x @ w_all.T).T  # (points, n)
         margins = margins + (y_pm[None, :] * b_all[:, None])
-        hinge = np.maximum(0.0, 1.0 - margins).sum(axis=1)
-        values = 0.5 * (w_all * w_all).sum(axis=1) + c * hinge
+        slack = np.maximum(0.0, 1.0 - margins)
+        values = 0.5 * (w_all * w_all).sum(axis=1) + c * (slack * slack).sum(axis=1)
         at = int(np.argmin(values))
         if values[at] < best_val:
             best_val = float(values[at])
@@ -203,87 +213,6 @@ def boundary_cuts(values, classes) -> list:
     distinct = sorted(seen)
     return [lo for lo, hi in zip(distinct[:-1], distinct[1:])
             if not (len(seen[lo]) == 1 and seen[lo] == seen[hi])]
-
-
-def _reference_bias(y_pm, f, alpha, c) -> float:
-    r = y_pm - f
-    free = (alpha > 1e-12 * c) & (alpha < c * (1.0 - 1e-12))
-    if free.any():
-        return float(r[free].mean())
-    at_zero = alpha <= 1e-12 * c
-    at_c = ~at_zero
-    lower = r[(at_zero & (y_pm > 0)) | (at_c & (y_pm < 0))]
-    upper = r[(at_zero & (y_pm < 0)) | (at_c & (y_pm > 0))]
-    if len(lower) and len(upper):
-        return float((lower.max() + upper.min()) / 2.0)
-    if len(lower):
-        return float(lower.max())
-    return float(upper.min())
-
-
-def reference_smo(x: np.ndarray, y_pm: np.ndarray, cfg):
-    """The SVM's maximal-violating-pair SMO with every step recomputed from scratch.
-
-    Each step rebuilds the dual gradient and both index sets over all n
-    rows, so it is the plain statement of the solver that the incremental
-    one in ``svm._solve_binary`` must reproduce bit for bit: same
-    (best_w, best_b, history).
-    """
-    box_eps, kkt_eps = 1e-12, 1e-9
-    n, p = x.shape
-    c = cfg.c
-    alpha = np.zeros(n)
-    w = np.zeros(p)
-    f = np.zeros(n)
-    self_dot = np.einsum("ij,ij->i", x, x)
-
-    best_obj = svm_primal_objective(x, y_pm, w, 0.0, c)
-    best_w, best_b = w.copy(), 0.0
-    history: list[float] = []
-    converged = False
-
-    for _ in range(cfg.max_epochs):
-        for _ in range(n):
-            grad = y_pm * f - 1.0
-            neg_yg = -y_pm * grad
-            up = ((y_pm > 0) & (alpha < c - box_eps)) | ((y_pm < 0) & (alpha > box_eps))
-            low = ((y_pm < 0) & (alpha < c - box_eps)) | ((y_pm > 0) & (alpha > box_eps))
-            if not up.any() or not low.any():
-                converged = True
-                break
-            i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
-            j = int(np.argmin(np.where(low, neg_yg, np.inf)))
-            gap = neg_yg[i] - neg_yg[j]
-            if gap <= kkt_eps:
-                converged = True
-                break
-
-            quad = max(self_dot[i] + self_dot[j] - 2.0 * float(x[i] @ x[j]), 1e-12)
-            delta = gap / quad
-            delta_max_i = (c - alpha[i]) if y_pm[i] > 0 else alpha[i]
-            delta_max_j = alpha[j] if y_pm[j] > 0 else (c - alpha[j])
-            delta = min(delta, delta_max_i, delta_max_j)
-            if delta <= 0.0:
-                converged = True
-                break
-
-            alpha[i] += y_pm[i] * delta
-            alpha[j] -= y_pm[j] * delta
-            step = delta * (x[i] - x[j])
-            w += step
-            f += x @ step
-
-        b = _reference_bias(y_pm, f, alpha, c)
-        obj = svm_primal_objective(x, y_pm, w, b, c)
-        if obj < best_obj:
-            best_obj, best_w, best_b = obj, w.copy(), b
-        history.append(best_obj)
-        dual = float(alpha.sum()) - 0.5 * float(w @ w)
-        dual_gap = (best_obj - dual) / best_obj if best_obj else 0.0
-        if converged or dual_gap <= cfg.tolerance:
-            break
-
-    return best_w, best_b, history
 
 
 # --------------------------------------------------------------------------

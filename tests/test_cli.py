@@ -132,6 +132,19 @@ def test_svm_non_finite_c_exits_2(capsys):
         assert "c must be finite" in capsys.readouterr().err
 
 
+def test_svm_c_whose_objective_overflows_exits_4(tmp_path):
+    # c * 240 training rows passes the largest double: a numeric error naming c, no report
+    out = tmp_path / "out"
+    argv = ["run", "--schema", "synthetic",
+            "--synth", "n=300,inf=3,noise=2,classes=3,sep=2,seed=1",
+            "--classifier", "svm", "--svm-c", "1e308", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "cyclonids.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert "c=1e+308" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (out / "report.json").exists()
+
+
 def test_run_missing_synthetic_file_exits_3(tmp_path, capsys):
     missing = str(tmp_path / "missing.csv")
     code = main(["run", "--schema", "synthetic", "--data", missing])

@@ -218,12 +218,14 @@ def test_svm_report_reads_back_each_solve(tmp_path):
     assert sorted(report) == ["c0", "c1", "c2"]
     n_train = rec.dataset_summary["n_train"]
     for solve in report.values():
+        assert sorted(solve) == ["epochs", "grad_rel", "margin_rows", "stop"]
         assert 1 <= solve["epochs"] <= cfg.svm.max_epochs
-        assert 0 < solve["steps"] <= solve["epochs"] * n_train
-        assert 0 < solve["min_active"] <= n_train
-        assert solve["stop"] in ("gap", "no_step", "dual_gap", "epoch_budget")
-        assert solve["dual_gap"] >= 0.0
-    assert any(s["min_active"] < n_train for s in report.values())
+        assert solve["stop"] in ("margin_set", "epoch_budget")
+        assert 0 <= solve["margin_rows"] <= n_train
+        assert 0.0 <= solve["grad_rel"] < 1.0
+    # the middle class has no linear separator: every row stays inside its margin
+    assert report["c1"]["margin_rows"] == n_train
+    assert all(s["stop"] == "margin_set" and s["grad_rel"] < 1e-12 for s in report.values())
 
 
 def _depth(tree, node=0):
@@ -325,12 +327,11 @@ _PARENT_KFOLD = {  # (accuracy, macro F1) per fold, as recorded when each fold w
              [0.5243770250974793, 0.594, 0.2705768921741925]),
     "pca": ([0.5376884422110553, 0.5326633165829145, 0.535],
             [0.28900567634461194, 0.3116991488926845, 0.3213776326739645]),
-    # recorded when each fold's parsed rows were copied; each fold is now an index into them
-    "svm": ([0.8793969849246231, 0.8894472361809045, 0.89],
-            [0.5251396259968324, 0.5245468261310074, 0.5244150026904786]),
-    # fold 4 re-recorded when the SVM began to stop on its relative duality gap
-    "synthetic": ([0.6266666666666667, 0.6666666666666666, 0.76, 0.8133333333333334],
-                  [0.5692307692307693, 0.6030563243677998, 0.6996983408748113, 0.7471309097115549]),
+    # svm and synthetic re-recorded when the SVM moved to the squared hinge and finite Newton
+    "svm": ([1.0, 0.9949748743718593, 1.0],
+            [0.6, 0.5969834087481146, 0.6]),
+    "synthetic": ([0.64, 0.7333333333333333, 0.72, 0.8266666666666667],
+                  [0.601159033796605, 0.7134920634920635, 0.685943085943086, 0.7881263313883485]),
 }
 
 

@@ -1,13 +1,16 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from cyclonids.dataset import Dataset, split
 from cyclonids.errors import ConfigError, DataError
-from cyclonids.svm import SVMConfig, SVMModel, _solve_binary, margins, predict, train_svm
+from cyclonids.svm import (SVMConfig, SVMModel, _solve_binary, _step_length, margins, predict,
+                           train_svm)
 from cyclonids.synthgen import SynthConfig, gen_classification
-from oracles import (best_linear_rule_accuracy, reference_smo, svm_lattice_minimum,
+from oracles import (best_linear_rule_accuracy, svm_lattice_minimum, svm_primal_gradient,
                      svm_primal_objective)
 
 XOR_POINTS = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -78,7 +81,7 @@ def test_objective_within_1pct_of_lattice_oracle():
             continue
         x, y = instance
         d = _dataset(x, y)
-        model = train_svm(d, SVMConfig(c=1000.0, tolerance=1e-10))
+        model = train_svm(d, SVMConfig(c=1000.0))
         assert float(np.mean(predict(model, x) == y)) == 1.0
         w, b = model.weights[1], model.biases[1]
         ours = svm_primal_objective(x, np.where(y == 1, 1.0, -1.0), w, b, 1000.0)
@@ -158,8 +161,8 @@ def test_errors():
 
 
 def _duplicated_rows_dataset():
-    """Rows 2k and 2k+1 (k < 20) are equal with opposite labels, so the first
-    maximal violating pairs have quad = 0 and the solver clamps it to 1e-12."""
+    """Rows 2k and 2k+1 (k < 20) are equal with opposite labels, so each pair
+    sits inside the margin of both one-vs-rest problems whatever the model."""
     rng = np.random.default_rng(33)
     x = np.round(rng.standard_normal((60, 3)), 1)
     y = (x[:, 0] + 0.5 * rng.standard_normal(60) > 0).astype(int)
@@ -174,26 +177,24 @@ def _absent_class_dataset():
     return _dataset(x, (x[:, 1] - x[:, 2] > 0).astype(int), k=3)
 
 
-# sha256 of train_svm(...).to_text(). Only three_class_n2000 shrinks rows
-# that would have been picked again, so only its digest moved with shrinking.
-# Every case but c_1e-3_alphas_at_bound, which closes the pair gap in its
-# first epoch, was re-recorded when the relative duality gap became the
-# stopping rule.
+# sha256 of train_svm(...).to_text(), recorded when the squared hinge and its
+# finite Newton solver replaced the hinge and SMO. In three_class_n2000 the
+# 4-iteration budget cuts class c2 short; every other solve stops on its margin set.
 PINNED_SVM_DIGESTS = {
     "three_class_n2000": (
         lambda: gen_classification(SynthConfig(2000, 3, 5, 3, 1.5, seed=31))[0],
         SVMConfig(max_epochs=4),
-        "3ceebe93d1d0fca4970f41776fd5e8aed39a3e2a4bf4c8c5256b607a46f0281a"),
-    "c_1e-3_alphas_at_bound": (
+        "62ad9e3f2f88246e6c51d1d73598a248bf072c40caf03d5e95e3150255a4b712"),
+    "c_1e-3": (
         lambda: gen_classification(SynthConfig(400, 2, 3, 2, 1.0, seed=32))[0],
         SVMConfig(c=1e-3),
-        "e70d7708fb448cd631ec91e8142e0d1d6df7325b99446496b3c3f38203bc458d"),
-    "duplicated_rows_quad_clamped": (
+        "aa06a3985cd9ecf5f7d7080baf1aa924387a4c3b67e50b455d00569aa6a1c227"),
+    "duplicated_rows_opposite_labels": (
         _duplicated_rows_dataset, SVMConfig(c=10.0),
-        "b7b1d0fe6537749d73890f17ea976c09d3786c6a016fd3cfb2dee70a2fb9ec2c"),
+        "bc940a553765546bb241820eed1771e3b82fc0884fda97bef0c0b343e5e8a4e1"),
     "absent_class": (
         _absent_class_dataset, SVMConfig(),
-        "a968d7bf227ae9b10294414dad5af3b9dd84ffd637964cb26d588beca5eb4496"),
+        "be9751b99cd63c6d803c27ad50fc615dcbfb9bb6c556b93da05d54965b58f8fc"),
 }
 
 
@@ -204,7 +205,7 @@ def test_pinned_model_digests(case):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
 
 
-def _random_smo_instance(rng):
+def _random_instance(rng):
     n = int(rng.integers(2, 81))
     p = int(rng.integers(1, 6))
     x = rng.standard_normal((n, p))
@@ -213,136 +214,185 @@ def _random_smo_instance(rng):
     if rng.random() < 0.25:
         x[:, int(rng.integers(p))] = -0.0
     y_pm = np.where(rng.random(n) < rng.uniform(0.2, 0.8), 1.0, -1.0)
-    cfg = SVMConfig(c=float(10.0 ** rng.uniform(-3.0, 3.0)),
-                    max_epochs=int(rng.integers(1, 31)),
-                    tolerance=float(rng.choice([1e-6, 1e-10])))
+    cfg = SVMConfig(c=float(10.0 ** rng.uniform(-3.0, 3.0)), max_epochs=int(rng.integers(1, 31)))
     return x, y_pm, cfg
 
 
-def _smo_instances():
-    """600 random instances, then three whose working sets start empty:
-    one class only, either sign, and c below _BOX_EPS."""
+def _solver_instances():
+    """600 random instances, a few of them with one class only."""
     rng = np.random.default_rng(2011)
     for _ in range(600):
-        yield _random_smo_instance(rng)
-    x = np.random.default_rng(7).standard_normal((12, 3))
-    yield x, np.ones(12), SVMConfig()
-    yield x, -np.ones(12), SVMConfig()
-    yield x, np.where(x[:, 0] > 0, 1.0, -1.0), SVMConfig(c=1e-13)
+        yield _random_instance(rng)
 
 
 @pytest.fixture(scope="module")
-def solves_against_reference():
-    """(n, ours, reference) per instance; ours = (w, b, history, report)."""
-    return [(len(x), _solve_binary(x, y_pm, cfg), reference_smo(x, y_pm, cfg))
-            for x, y_pm, cfg in _smo_instances()]
+def solves():
+    """(x, y_pm, cfg, (w, b, history, report)) per instance."""
+    return [(x, y_pm, cfg, _solve_binary(x, y_pm, cfg)) for x, y_pm, cfg in _solver_instances()]
 
 
-def test_solver_matches_reference_smo_bit_for_bit(solves_against_reference):
-    """A solve that never shrinks a row follows reference_smo bit for bit.
-    347 of the 603 instances never shrink one."""
-    unshrunk = 0
-    for n, (w, b, history, report), (ref_w, ref_b, ref_history) in solves_against_reference:
-        if report["min_active"] < n:
-            continue
-        unshrunk += 1
-        assert w.tobytes() == ref_w.tobytes()
-        assert repr(b) == repr(ref_b)
-        assert [repr(v) for v in history] == [repr(v) for v in ref_history]
-    assert unshrunk >= 300
+def _objective_and_gradient(z, x, y_pm, c):
+    w, b = z[:-1], z[-1]
+    return (svm_primal_objective(x, y_pm, w, b, c), svm_primal_gradient(x, y_pm, w, b, c))
 
 
-# Shrunk instances of _smo_instances() that end more than 1e-3 above
-# reference_smo's objective, with the relative difference each one ends at.
-# Each stops on the epoch budget: shrinking changed the trajectory, and the
-# budget (2 to 30 epochs) ends each with a relative duality gap of
-# 0.014 to 0.48, before either is near the optimum. A solve that stops on
-# the duality gap cannot be here (test_dual_gap_stop_is_certified).
-SHRUNK_ABOVE_REFERENCE = {
-    137: 0.0610,
-    244: 0.0149,
-    280: 0.0027,
-    580: 0.0033,
-    596: 0.0143,
-}
+def _lbfgs_minimum(x, y_pm, c) -> float:
+    result = minimize(_objective_and_gradient, np.zeros(x.shape[1] + 1), args=(x, y_pm, c),
+                      jac=True, method="L-BFGS-B",
+                      options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10000})
+    return float(result.fun)
 
 
-def test_shrunk_solves_end_no_worse_than_reference_smo(solves_against_reference):
-    """The other 256 instances shrink rows, which changes the trajectory, so
-    the final best objective is compared with reference_smo's at the same
-    budget. 228 agree within 1e-9 relative and 3 end more than 1e-3 below,
-    each at the epoch budget. Only the instances listed in
-    SHRUNK_ABOVE_REFERENCE end more than 1e-3 above it."""
-    rel = {}
-    for k, (n, (_, _, history, report), (_, _, ref_history)) in enumerate(
-            solves_against_reference):
-        if report["min_active"] < n:
-            rel[k] = (history[-1] - ref_history[-1]) / abs(ref_history[-1])
-    assert len(rel) >= 100
-    above = {k: r for k, r in rel.items() if r > 1e-3}
-    assert sorted(above) == sorted(SHRUNK_ABOVE_REFERENCE)
-    for k, r in above.items():
-        assert r == pytest.approx(SHRUNK_ABOVE_REFERENCE[k], abs=1e-4), k
+def _gradient_scale(x, c) -> float:
+    """2c sum_i ||(x_i, 1)||: the size of the terms the gradient sums at w = 0, b = 0,
+    where every row's slack is 1. Never 0, so rounding noise is small beside it."""
+    return 2.0 * c * float(np.sqrt((x * x).sum(axis=1) + 1.0).sum())
 
 
-def test_dual_gap_stop_is_certified(solves_against_reference):
-    """A solve that stops on the duality gap is within the tolerance of the
-    optimum, so no more than that above reference_smo's objective, shrunk or not."""
+def _assert_certified(x, y_pm, c, w, b):
+    """The gradient is zero up to rounding and the objective is L-BFGS-B's."""
+    gradient = np.linalg.norm(svm_primal_gradient(x, y_pm, w, b, c))
+    assert gradient <= 1e-8 * _gradient_scale(x, c)
+    ours, reference = svm_primal_objective(x, y_pm, w, b, c), _lbfgs_minimum(x, y_pm, c)
+    assert abs(ours - reference) <= 1e-6 * abs(reference) + 1e-12
+
+
+def test_margin_set_stop_is_certified(solves):
+    """A solve that stops on a repeated margin set is at the optimum: its gradient,
+    summed row by row, is zero up to rounding, and no other solver does better.
+    The budgets of 1 to 30 iterations cut 5 of the 600 solves short."""
     certified = 0
-    for (_, _, cfg), (_, (_, _, history, report), (_, _, ref_history)) in zip(
-            _smo_instances(), solves_against_reference):
-        assert report["stop"] in ("gap", "no_step", "dual_gap", "epoch_budget")
-        if report["stop"] == "dual_gap":
+    for x, y_pm, cfg, (w, b, history, report) in solves:
+        assert report["stop"] in ("margin_set", "epoch_budget")
+        if report["stop"] == "margin_set":
             certified += 1
-            assert report["dual_gap"] <= cfg.tolerance
-            assert history[-1] <= ref_history[-1] / (1.0 - cfg.tolerance)
-    assert certified >= 50
+            _assert_certified(x, y_pm, cfg.c, w, b)
+    assert certified >= 590
 
 
-def test_reported_dual_gap_is_never_negative(solves_against_reference):
-    """D <= P_best holds in exact arithmetic only: a solve that closes its pair gap
-    can compute D a rounding error above P_best, about 1e-16 relative, as 29 of
-    these instances do (51, 57 and 71 among them). The report says 0 then."""
-    negative = [k for k, (_, (_, _, _, report), _) in enumerate(solves_against_reference)
-                if not report["dual_gap"] >= 0.0]
-    assert negative == []
+def test_report_reads_back_the_returned_model(solves):
+    """The history ends at the returned model's objective, the margin set is the rows
+    with margin below 1 there, and grad_rel is its gradient relative to the start's."""
+    for x, y_pm, cfg, (w, b, history, report) in solves:
+        assert len(history) == report["epochs"]
+        assert history[-1] == pytest.approx(svm_primal_objective(x, y_pm, w, b, cfg.c),
+                                            rel=1e-12, abs=0.0)
+        assert report["margin_rows"] == int(np.sum(y_pm * (x @ w + b) < 1.0))
+        gradient = np.linalg.norm(svm_primal_gradient(x, y_pm, w, b, cfg.c))
+        start = np.linalg.norm(svm_primal_gradient(x, y_pm, np.zeros_like(w), 0.0, cfg.c))
+        assert report["grad_rel"] * start == pytest.approx(
+            gradient, rel=1e-6, abs=1e-12 * _gradient_scale(x, cfg.c))
 
 
-def test_reference_smo_does_not_stop_on_a_stalled_primal(solves_against_reference):
-    """Instances 339 and 378 once stopped reference_smo at 147.0834 and
-    100.4603, when one epoch's best primal objective, which can hold still
-    while the dual climbs, improved by less than an absolute tolerance. On
-    the duality gap both solvers reach the same optimum."""
-    for k, expected in ((339, 127.6573), (378, 76.3311)):
-        _, (_, _, history, _), (_, _, ref_history) = solves_against_reference[k]
-        assert abs(ref_history[-1] - history[-1]) <= 1e-9 * abs(history[-1]), k
-        assert ref_history[-1] == pytest.approx(expected, abs=1e-4), k
+def test_epoch_budget_cuts_the_trajectory_short(solves):
+    """With max_epochs=k no solve runs more than k iterations; a solve the budget
+    cuts short says so, and its history is the first k objectives of the solve
+    without a budget, bit for bit."""
+    cut = 0
+    for x, y_pm, cfg, (w, b, history, report) in solves:
+        assert 1 <= report["epochs"] <= cfg.max_epochs
+        free = _solve_binary(x, y_pm, SVMConfig(c=cfg.c))
+        if free[3]["epochs"] > cfg.max_epochs:
+            cut += 1
+            assert report["stop"] == "epoch_budget"
+            assert history == free[2][:cfg.max_epochs]
+        else:
+            assert report["stop"] == "margin_set"
+            assert w.tobytes() == free[0].tobytes() and repr(b) == repr(free[1])
+    assert cut >= 5
 
 
-def test_shrunk_rows_come_back_before_convergence():
-    """Solved to the gap test with most rows shrunk, the objective matches
-    reference_smo's: the final check sees every row, so no violator is left out."""
+def test_budget_of_k_iterations_on_three_classes():
+    d, _ = gen_classification(SynthConfig(300, 3, 5, 3, 2.0, seed=5))
+    free = train_svm(d, SVMConfig())
+    assert max(s["epochs"] for s in free.solves.values()) > 2
+    capped = train_svm(d, SVMConfig(max_epochs=2))
+    for name, solve in capped.solves.items():
+        assert solve["epochs"] <= 2
+        if free.solves[name]["epochs"] > 2:
+            assert solve["stop"] == "epoch_budget"
+    assert [len(h) for h in capped.objective_histories] == [s["epochs"] for s in
+                                                            capped.solves.values()]
+
+
+def test_large_instance_solves_to_the_optimum():
+    """3,000 noisy rows with most of them inside the margin."""
     rng = np.random.default_rng(10)
     x = rng.standard_normal((3000, 7))
     y_pm = np.where(x[:, 0] + 0.5 * x[:, 1] + 1.25 * rng.standard_normal(3000) > 0, 1.0, -1.0)
-    cfg = SVMConfig(c=0.04, max_epochs=200, tolerance=1e-12)
-    _, _, history, report = _solve_binary(x, y_pm, cfg)
-    _, _, ref_history = reference_smo(x, y_pm, cfg)
-    assert report["stop"] == "gap"
-    assert report["min_active"] < 100
-    assert abs(history[-1] - ref_history[-1]) <= 1e-9 * abs(ref_history[-1])
+    w, b, history, report = _solve_binary(x, y_pm, SVMConfig(c=0.04))
+    assert report["stop"] == "margin_set"
+    assert report["epochs"] <= 10
+    assert report["margin_rows"] > 1500
+    _assert_certified(x, y_pm, 0.04, w, b)
 
 
-@pytest.mark.parametrize("settings", [{"c": float("nan")}, {"c": float("inf")},
-                                      {"tolerance": float("nan")},
-                                      {"tolerance": float("inf")}])
+def test_step_length_is_the_exact_line_minimum():
+    """Against the derivative along the line, summed row by row: zero at the step,
+    or not negative at t = 0. A third of the slacks are exactly 0, half of those
+    rows moving into the margin, which only the first piece can count."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n, p = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+        slack = np.round(rng.standard_normal(n), 1)
+        slack[rng.random(n) < 0.3] = 0.0
+        rate = np.round(rng.standard_normal(n), 1)
+        w, dw = rng.standard_normal(p), rng.standard_normal(p)
+        lam = float(10.0 ** rng.uniform(-3.0, 3.0))
+        t = _step_length(lam, w, dw, slack, rate)
+
+        def derivative(at):
+            return lam * float(w @ dw + at * (dw @ dw)) - sum(
+                max(s - at * r, 0.0) * r for s, r in zip(slack, rate))
+
+        size = lam * (abs(float(w @ dw)) + float(dw @ dw)) + float(np.abs(slack * rate).sum()
+                                                                   + (rate * rate).sum())
+        assert t >= 0.0
+        if t == 0.0:
+            assert derivative(0.0) >= -1e-12 * size
+        else:
+            assert abs(derivative(t)) <= 1e-12 * size * max(1.0, t)
+
+
+def _assert_finite(w, b, history, report):
+    assert np.all(np.isfinite(w)) and math.isfinite(b)
+    assert all(math.isfinite(v) for v in history)
+    assert math.isfinite(report["grad_rel"])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_class_instance_trains_a_finite_model(sign):
+    """Every row can sit on the margin with w = 0 and b = sign: the objective is 0."""
+    x = np.random.default_rng(7).standard_normal((12, 3))
+    w, b, history, report = _solve_binary(x, np.full(12, sign), SVMConfig())
+    _assert_finite(w, b, history, report)
+    assert report["stop"] == "margin_set"
+    assert np.all(np.abs(w) < 1e-12) and b == pytest.approx(sign, abs=1e-12)
+    assert history[-1] < 1e-20
+
+
+def test_tiny_c_trains_a_finite_model():
+    """At c=1e-13 the system's diagonal holds 1/(2c) = 5e12 next to entries near 1."""
+    x = np.random.default_rng(7).standard_normal((12, 3))
+    y_pm = np.where(x[:, 0] > 0, 1.0, -1.0)
+    w, b, history, report = _solve_binary(x, y_pm, SVMConfig(c=1e-13))
+    _assert_finite(w, b, history, report)
+    assert report["stop"] == "margin_set"
+    assert np.all(np.abs(w) < 1e-10) and b == pytest.approx(y_pm.mean(), abs=1e-9)
+
+
+def test_rows_duplicated_with_opposite_labels_train_a_finite_model():
+    d = _duplicated_rows_dataset()
+    x = d.features
+    for cls in (0, 1):
+        y_pm = np.where(d.labels == cls, 1.0, -1.0)
+        w, b, history, report = _solve_binary(x, y_pm, SVMConfig(c=10.0))
+        _assert_finite(w, b, history, report)
+        assert report["stop"] == "margin_set"
+        _assert_certified(x, y_pm, 10.0, w, b)
+
+
+@pytest.mark.parametrize("settings", [{"c": float("nan")}, {"c": float("inf")}])
 def test_non_finite_settings_rejected(settings):
     with pytest.raises(ConfigError, match="finite"):
         SVMConfig(**settings).validate()
-
-
-@pytest.mark.parametrize("tolerance", [0.0, 1.0])
-def test_tolerance_outside_the_unit_interval_rejected(tolerance):
-    # the relative duality gap is at most 1, so a tolerance of 1 certifies nothing
-    with pytest.raises(ConfigError, match=r"in \(0, 1\)"):
-        SVMConfig(tolerance=tolerance).validate()
