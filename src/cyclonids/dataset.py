@@ -329,21 +329,22 @@ def _normalize_label(token: str) -> str:
     return token.strip().rstrip(".").lower()
 
 
-_MEMO_ROWS = 256  # rows the row loop keeps before load_csv decides whether to memoize float()
 _MEMO_CAP = 1 << 16  # distinct strings a _FloatMemo holds before it empties itself
 
 
 class _FloatMemo(dict):
-    """``float`` of each numeric string, parsed once, emptied when ``_MEMO_CAP`` are held.
+    """The value ``_parse_numeric`` gives each numeric string, parsed once per string and
+    emptied when ``_MEMO_CAP`` are held; a string that is not a finite number raises
+    ValueError and is not stored.
 
     KDD99 columns are mostly flags, small counts and two-decimal rates, so a
-    few thousand distinct strings cover millions of fields. Only finite values
-    are stored: any other string raises ValueError.
+    few thousand distinct strings cover millions of fields. A file of mostly
+    distinct numbers pays one miss per field.
     """
 
     def __missing__(self, token: str) -> float:
-        if not math.isfinite(value := float(token)):
-            raise ValueError(f"not finite: {token!r}")
+        if (value := _parse_numeric(token)) is None:
+            raise ValueError(f"not a finite number: {token!r}")
         if len(self) >= _MEMO_CAP:
             self.clear()
         self[token] = value
@@ -527,13 +528,9 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
             arity, label_at = schema.arity, schema.label_position
             label_codes = _Labels(schema, infer)  # raw label token -> class index
             memo, coders = _FloatMemo(), [_Codes() for _ in token_pos]
-            parse = memo.__getitem__
             source.take = _chunk_reader(arity, numeric_pos, token_pos, label_at, csv.field_size_limit(),
                                         numbers, codes, labels, coders, label_codes)
             for lineno, row in records:
-                if (len(labels) - source.taken == _MEMO_ROWS  # rows this loop kept, not np.loadtxt
-                        and 2 * len(memo) >= _MEMO_ROWS * len(numeric_pos)):
-                    parse = float  # mostly distinct strings (`gen` writes repr floats): memo only costs
                 if len(row) != arity:
                     raise DataError(
                         f"arity mismatch at row {lineno}: expected {arity} fields, got {len(row)}")
@@ -543,14 +540,10 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                     raise DataError(f"unknown label '{row[label_at].strip()}' at row {lineno}") from None
 
                 try:
-                    values = list(map(parse, numeric(row)))
-                    if parse is float and not all(map(math.isfinite, values)):
-                        raise ValueError("not finite")
-                except ValueError:  # grouped digits parse here; NaN, inf and the rest reject
-                    values = [_parse_numeric(t) for t in numeric(row)]
-                    if None in values:
-                        rejected.append(lineno)
-                        continue
+                    values = list(map(memo.__getitem__, numeric(row)))
+                except ValueError:  # NaN, inf and any field that is not a number
+                    rejected.append(lineno)
+                    continue
                 numbers.fromlist(values)
                 codes.extend(map(_Codes.__getitem__, coders, categorical(row)))
                 labels.append(code)

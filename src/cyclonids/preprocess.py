@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError
 
-_BLOCK_ROWS = 4096  # rows a blocked loop here, in pca or in dataset works on at once
+_BLOCK_ROWS = 4096  # rows a blocked loop here or in pca works on at once
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,11 @@ class ExperimentConfig:
         return self.name or self.schema
 
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "name": self.label(),
-                "encoding_resolved": self.resolved_encoding()}
+        """The config snapshot: the settings of the stages this run uses, not of the others."""
+        unused = {"boruta": self.selector != "boruta", "pca_threshold": self.selector != "pca",
+                  "forest": self.classifier != "rf", "svm": self.classifier != "svm"}
+        return {**{k: v for k, v in dataclasses.asdict(self).items() if not unused.get(k)},
+                "name": self.label(), "encoding_resolved": self.resolved_encoding()}
 
 
 @dataclasses.dataclass

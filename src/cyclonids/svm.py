@@ -43,6 +43,8 @@ class SVMConfig:
     def validate(self) -> None:
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ConfigError(f"c must be finite and > 0, got {self.c}")
+        if not math.isfinite(0.5 / self.c):  # the solver's regularization weight
+            raise ConfigError(f"c must be large enough that 0.5 / c is finite, got {self.c}")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
 

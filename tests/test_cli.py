@@ -132,6 +132,15 @@ def test_svm_non_finite_c_exits_2(capsys):
         assert "c must be finite" in capsys.readouterr().err
 
 
+def test_svm_c_whose_regularization_overflows_exits_2(capsys):
+    # 0.5 / c is inf below about 2.8e-309: a config error naming c, before the load
+    code = main(["run", "--schema", "synthetic",
+                 "--synth", "n=300,inf=3,noise=2,classes=3,sep=2,seed=1",
+                 "--classifier", "svm", "--svm-c", "1e-309"])
+    assert code == 2
+    assert "0.5 / c is finite, got 1e-309" in capsys.readouterr().err
+
+
 def test_svm_c_whose_objective_overflows_exits_4(tmp_path):
     # c * 240 training rows passes the largest double: a numeric error naming c, no report
     out = tmp_path / "out"

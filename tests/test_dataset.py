@@ -360,14 +360,14 @@ def _assert_same_load(got, expected, path):
             assert mine.tobytes() == ref.tobytes(), path
 
 
-# Fields the float memo must treat as float() and _parse_numeric do: rejected
-# ('?', 'nan', '1e999'), signed zeros, grouped digits and padding.
+# Fields the float memo must treat as _parse_numeric does: rejected ('?',
+# 'nan', '1e999'), signed zeros, grouped digits and padding.
 _QUIRK_ROWS = (["?"], ["nan"], ["1e999"], ["-0", "0"], ["1 000"], [" 12 "])
 _KDD_NUMERIC = 38  # numeric columns of the KDD99 layout: all but 3 token columns and the label
 
 
 def _memo_csv(rng, regime: str) -> str:
-    """KDD99 text of more than _MEMO_ROWS rows in one regime of the float memo."""
+    """KDD99 text of more than 256 rows in one regime of the float memo."""
     repetitive = lambda: [str(rng.choice(["0", "1", "2", "0.00", "0.50", "1.00", "255"]))
                           for _ in range(_KDD_NUMERIC)]
     distinct = lambda: [repr(float(v)) for v in rng.normal(0.0, 1e3, _KDD_NUMERIC)]
@@ -376,9 +376,9 @@ def _memo_csv(rng, regime: str) -> str:
     elif regime == "distinct":
         rows = [distinct() for _ in range(1000)]
     else:  # past the cap after a repetitive start, so the memo empties itself
-        rows = [repetitive() for _ in range(dataset_mod._MEMO_ROWS)]
+        rows = [repetitive() for _ in range(256)]
         rows += [distinct() for _ in range(dataset_mod._MEMO_CAP // _KDD_NUMERIC + 50)]
-    for at in (5, dataset_mod._MEMO_ROWS + 20, len(rows) - 3):  # before and after the switch
+    for at in (5, 256 + 20, len(rows) - 3):  # near the start, the middle and the end
         base = rows[at]
         for quirk in _QUIRK_ROWS:
             row, i = list(base), int(rng.integers(_KDD_NUMERIC - 1))
@@ -402,13 +402,29 @@ def test_float_memo_matches_the_reference_loader(tmp_path, monkeypatch, regime):
     path = _write(tmp_path, f"{regime}.csv", _memo_csv(np.random.default_rng(7), regime))
     got = load_csv(path, kdd99_schema())
     _assert_same_load(got, reference_load_csv(path, kdd99_schema()), path)
-    assert len(got.rejected_rows) == 9 and got.n > dataset_mod._MEMO_ROWS
+    assert len(got.rejected_rows) == 9 and got.n > 256
     if regime == "repetitive":
         assert len(misses) < 50
-    elif regime == "distinct":  # back to float() once the first rows showed no repeats
-        assert len(misses) < (dataset_mod._MEMO_ROWS + 10) * _KDD_NUMERIC
-    else:
+    elif regime == "evicting":
         assert max(misses) == dataset_mod._MEMO_CAP  # filled up, then emptied
+
+
+def test_a_grouped_digit_field_parses_no_other_field_of_its_row_again(tmp_path, monkeypatch):
+    # each row reaches the row loop (np.loadtxt rejects '1 819 000') and misses the memo once
+    rng = np.random.default_rng(11)
+    rows = []
+    for _ in range(300):
+        numbers = [str(v) for v in rng.choice([0, 1, 2, 255], _KDD_NUMERIC)]
+        numbers[int(rng.integers(_KDD_NUMERIC))] = "1 819 000"
+        rows.append(numbers)
+    path = _write(tmp_path, "grouped.csv", "".join(
+        ",".join([row[0], "tcp", "http", "SF", *row[1:], "normal."]) + "\n" for row in rows))
+    calls = []
+    parse = dataset_mod._parse_numeric
+    monkeypatch.setattr(dataset_mod, "_parse_numeric", lambda token: calls.append(token) or parse(token))
+    got = load_csv(path, kdd99_schema())
+    assert got.n == len(rows) and got.numbers.max() == 1819000.0
+    assert len(calls) <= len({v for row in rows for v in row}) + _KDD_NUMERIC
 
 
 def test_schema_layout_is_read_a_constant_number_of_times(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from cyclonids.errors import ConfigError
 from cyclonids.forest import ForestConfig
 from cyclonids.runner import (ExperimentConfig, compare_datasets, comparison_csv, emit_reports,
                               report_dict, run_experiment, run_kfold, strip_timings)
+from cyclonids.svm import SVMConfig
 from cyclonids.synthgen import SynthConfig, gen_classification
 from oracles import decode_columns
 
@@ -54,6 +55,15 @@ def test_determinism_modulo_timings():
     a = strip_timings(report_dict(run_experiment(_cfg(selector="boruta"))))
     b = strip_timings(report_dict(run_experiment(_cfg(selector="boruta"))))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_config_snapshot_leaves_out_the_stages_the_run_does_not_use():
+    a = strip_timings(report_dict(run_experiment(_cfg())))
+    b = strip_timings(report_dict(run_experiment(_cfg(svm=SVMConfig(c=3.0, max_epochs=5)))))
+    assert a == b
+    assert "forest" in a["config"] and not {"svm", "boruta", "pca_threshold"} & set(a["config"])
+    pca_svm = report_dict(run_experiment(_cfg(selector="pca", classifier="svm")))["config"]
+    assert {"pca_threshold", "svm"} <= set(pca_svm) and not {"forest", "boruta"} & set(pca_svm)
 
 
 @pytest.mark.parametrize("selector", ["none", "boruta", "pca"])
