@@ -118,15 +118,16 @@ class ForestModel:
                  f"classes={len(self.class_names)} seed={self.config.seed}"]
         for t, tree in enumerate(self.trees):
             lines.append(f"tree {t} nodes={tree.n_nodes}")
-            for i in range(tree.n_nodes):
-                counts = ",".join(str(int(c)) for c in tree.counts[i])
-                if tree.feature[i] < 0:
+            nodes = zip(tree.feature.tolist(), tree.threshold.tolist(), tree.left.tolist(),
+                        tree.counts.astype(np.int64).tolist())
+            for i, (feature, threshold, left, counts) in enumerate(nodes):
+                counts = ",".join(map(str, counts))
+                if feature < 0:
                     lines.append(f"  node {i} leaf counts={counts}")
                 else:
                     lines.append(
-                        f"  node {i} split feature={int(tree.feature[i])} "
-                        f"threshold={float(tree.threshold[i])!r} "
-                        f"left={int(tree.left[i])} right={int(tree.left[i]) + 1} counts={counts}")
+                        f"  node {i} split feature={feature} threshold={threshold!r} "
+                        f"left={left} right={left + 1} counts={counts}")
         return "\n".join(lines)
 
     def shape(self) -> dict:
@@ -266,6 +267,7 @@ def _search(ranks: _Ranks, pool: _Pool, start: np.ndarray, size: np.ndarray,
     best_col = np.zeros(b_nodes, dtype=np.int64)
     best_low = np.zeros(b_nodes, dtype=np.int64)
     best_left = np.zeros((k, b_nodes), dtype=np.int64)
+    top_by_node = np.empty(b_nodes)  # per node, this chunk's largest gain
     rank_mask = (1 << ranks.bits) - 1
     class_mask = (1 << pool.class_bits) - 1
     weight_mask = (1 << (pool.payload_bits - pool.class_bits)) - 1
@@ -315,7 +317,8 @@ def _search(ranks: _Ranks, pool: _Pool, start: np.ndarray, size: np.ndarray,
 
         heads = _firsts(node)
         top = np.maximum.reduceat(gain, heads)
-        hits = np.flatnonzero(gain == np.repeat(top, np.diff(heads, append=len(gain))))
+        top_by_node[node[heads]] = top
+        hits = np.flatnonzero(gain == top_by_node[node])
         first_hit = hits[_firsts(node[hits])]
         better = top > best_gain[node[heads]]
         won, hit = node[heads][better], first_hit[better]

@@ -14,11 +14,13 @@ Without PCA it is read once, into the one matrix the selector and the
 classifier take; PCA fits and projects the blocks as they are read, so its
 path never builds a split. No feature matrix of the whole input is ever
 built, and each matrix goes after its last use. A split is a row index into
-the loaded rows; the test split copies its own rows out once the fit pass
-has read the training rows for the last time, so the loaded rows go before
-the classifier, or Boruta, is fitted. The runner fits the run's only
-standardizer, whatever the selector, and the selector and the classifier
-see only standardized rows. No statistic of the test split ever
+the loaded rows. Once the fit pass has read the training rows for the last
+time, the test split either copies its own rows out or, on a PCA path whose
+projection takes less room than its parsed rows, is projected there and
+then; either way the loaded rows go before the classifier, or Boruta, is
+fitted. The runner fits the run's only standardizer, whatever the
+selector, and the selector and the classifier see only standardized
+rows. No statistic of the test split ever
 reaches a fitted component, and every random stage is seeded, so for one
 BLAS build and thread count a config reproduces its report apart from
 wall-clock timings. k-fold runs the same post-split pipeline per fold,
@@ -268,6 +270,18 @@ def _clock(timings: dict[str, float], stage: str):
     timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - t0)
 
 
+def _apply(cfg: ExperimentConfig, timings: dict[str, float], encoder: CategoricalEncoder,
+           standardizer: preprocess.Standardizer, select, raw: RawDataset) -> Dataset:
+    """The apply pass over one split's parsed rows: encoded, standardized and selected or
+    projected by the fitted stages, each stage's seconds added to ``timings``."""
+    with _clock(timings, "encode"):
+        d = encode_categoricals(raw, encoder)
+    with _clock(timings, "standardize"):
+        d = _standardized(cfg, standardizer, d)
+    with _clock(timings, "select"):
+        return select(d)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     """One seeded holdout run."""
     cfg.validate()
@@ -297,8 +311,12 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
     encoded, and the training matrix goes before the test rows are encoded: at most one
     split's matrix exists at a time. Once the training rows have been read for the last
     time (into the training matrix, or on the PCA path by the fit and the projection), the
-    test split gets its rows in blocks of its own, so the loaded blocks go before the
-    classifier, or Boruta, is fitted; that copy is timed as part of the split.
+    test split stops indexing the loaded blocks, so they go before the classifier, or
+    Boruta, is fitted. A PCA run keeps it as whichever is smaller, its k float64 components
+    a row or its parsed row: when the projection is smaller, the apply pass makes it then,
+    straight from the loaded blocks. Otherwise the test split gets its rows in blocks of
+    its own, a copy timed as part of the split, and the apply pass runs after training.
+    Nothing fitted reads the test split, so either order gives the same bits.
 
     Returns the test split's evaluation and ``record(parsed)``, which builds the holdout
     run's RunRecord from the fitted components: only that serializes a model, so a
@@ -318,9 +336,15 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
     with _clock(timings, "select"):
         selector_report, selector_obj, select = _select_stage(cfg, train)
         train = select(train)
+    test = None
     if cfg.selector == "pca":  # the projection was the training rows' last read
-        with _clock(timings, "split"):
-            halves[0] = halves[0].compact()
+        parsed_row = (halves[0].numbers.itemsize * halves[0].numbers.shape[1]
+                      + halves[0].codes.itemsize * halves[0].codes.shape[1])
+        if train.features.itemsize * train.p < parsed_row:
+            test = _apply(cfg, timings, encoder, standardizer, select, halves.pop())
+        else:
+            with _clock(timings, "split"):
+                halves[0] = halves[0].compact()
     with _clock(timings, "train"):
         class_names, selected_names = list(train.class_names), list(train.feature_names)
         if cfg.classifier == "rf":
@@ -334,12 +358,8 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
             classifier_report = model.solves
         del train
 
-    with _clock(timings, "encode"):
-        test = encode_categoricals(halves.pop(), encoder)
-    with _clock(timings, "standardize"):
-        test = _standardized(cfg, standardizer, test)
-    with _clock(timings, "select"):
-        test = select(test)
+    if test is None:
+        test = _apply(cfg, timings, encoder, standardizer, select, halves.pop())
     with _clock(timings, "predict"):
         predicted = predict(test.features)
     with _clock(timings, "evaluate"):

@@ -92,8 +92,11 @@ def test_encoding_is_timed_apart_from_loading(monkeypatch):
     assert rec.timings["encode"] >= 0.3 > max(rec.timings["load"], rec.timings["split"])
 
 
-@pytest.mark.parametrize("selector,classifier", [("none", "rf"), ("boruta", "rf"), ("pca", "svm")])
-def test_each_split_is_encoded_once_and_the_test_split_after_training(monkeypatch, selector, classifier):
+@pytest.mark.parametrize("selector,classifier,threshold", [
+    ("none", "rf", 0.95), ("boruta", "rf", 0.95), ("pca", "svm", 0.95), ("pca", "svm", 1.0)],
+    ids=["none-rf", "boruta-rf", "pca-svm", "pca-svm-every-component"])
+def test_each_split_is_encoded_once_and_the_test_split_after_training(monkeypatch, selector, classifier,
+                                                                      threshold):
     from cyclonids import runner, svm as svm_mod
 
     events = []
@@ -110,9 +113,23 @@ def test_each_split_is_encoded_once_and_the_test_split_after_training(monkeypatc
     monkeypatch.setattr(svm_mod, "train_svm", logged("train", svm_mod.train_svm))
     monkeypatch.setattr(forest_mod, "predict", logged("predict", forest_mod.predict))
     monkeypatch.setattr(svm_mod, "predict", logged("predict", svm_mod.predict))
-    rec = run_experiment(_cfg(selector=selector, classifier=classifier))
+    monkeypatch.setattr(pca_mod, "fit_pca", logged("fit_pca", pca_mod.fit_pca))
+    rec = run_experiment(_cfg(selector=selector, classifier=classifier, pca_threshold=threshold))
     n_train, n_test = rec.dataset_summary["n_train"], rec.dataset_summary["n_test"]
-    assert events == [("encode", n_train), ("train",), ("encode", n_test), ("predict",)]
+    if selector != "pca":
+        assert events == [("encode", n_train), ("train",), ("encode", n_test), ("predict",)]
+        return
+    # The test split is encoded only after every fit that reads training rows. PCA keeps
+    # it as whichever is smaller: at 0.95 the 4 of 5 components take less room than its
+    # 5 parsed float64 fields, so it is projected before the classifier is trained; with
+    # every component it is not, so it is copied out and encoded after training.
+    k, fields = rec.selector_report["components_retained"], rec.dataset_summary["n_features"]
+    assert (k, fields) == ((4, 5) if threshold < 1.0 else (5, 5))
+    fit = [("encode", n_train), ("fit_pca",)]
+    if k < fields:
+        assert events == fit + [("encode", n_test), ("train",), ("predict",)]
+    else:
+        assert events == fit + [("train",), ("encode", n_test), ("predict",)]
 
 
 @pytest.mark.parametrize("selector", ["none", "boruta", "pca"])
@@ -625,3 +642,25 @@ def test_pca_run_builds_no_encoded_split(tmp_path):
     assert rec.selector_report["components_retained"] < 0.1 * rec.dataset_summary["n_features"]
     matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
     assert peak < 0.72 * matrix, f"peak {peak / matrix:.2f} encoded matrices"
+
+
+def test_small_k_pca_run_projects_the_test_split_instead_of_copying_it(tmp_path):
+    path = str(tmp_path / "kdd.csv")
+    _write_kdd_like(path, 60000)
+    cfg = _kdd_cfg(path, "pca")
+    cfg.test_fraction = 0.5
+    cfg.pca_threshold = 0.1
+    tracemalloc.start()
+    try:
+        rec = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The 7 components of a test row take less room than its 41 parsed fields, so
+    # once the training rows are projected the test rows are projected too, straight
+    # from the loaded rows, and no copy of them is made. The peak, about 0.53, is in
+    # the training split's projection, beside the loaded rows. Copying the test
+    # split's parsed rows out before training read 0.61, in that copy.
+    assert rec.selector_report["components_retained"] == 7
+    matrix = rec.dataset_summary["n_rows"] * rec.dataset_summary["n_features"] * 8
+    assert peak < 0.57 * matrix, f"peak {peak / matrix:.3f} encoded matrices"
