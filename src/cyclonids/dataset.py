@@ -6,16 +6,21 @@ input CSV and reads it once, inferring the schema of a synthetic file from
 its header on the way; numpy's C text reader parses the clean chunks of
 lines and a Python row loop the rest. It produces the same in-memory
 representation as the generated ``--synth`` rows, so the rest of the
-pipeline never cares where rows came from. The parsed rows are two
-row-major blocks: float64 numeric fields, and int32 codes of the categorical
-fields, each column's codes pointing into its own table of stripped tokens
-(an Apache Arrow dictionary array). A run splits those parsed rows first and
-then encodes each split with the vocabulary of the training split alone, so
-no feature matrix of the whole file is ever built. A split is a sorted row
-index into the loaded blocks, a selection vector as in MonetDB/X100, and
-copies none of their rows. ``encode_categoricals`` gives a split's rows as
-``Blocks``, gathered and encoded a block at a time, which
-``Blocks.dataset()`` fills into one matrix.
+pipeline never cares where rows came from. The parsed rows are three
+row-major blocks: int32 for each numeric column whose values are all
+integers in int32's range (counts, flags and byte totals), float64 for the
+other numeric columns, and int32 codes of the categorical fields, each
+column's codes pointing into its own table of stripped tokens (an Apache
+Arrow dictionary array). int32 decodes to float64 exactly, a lightweight
+encoding as in Abadi, Madden & Ferreira (SIGMOD 2006); the loader splits the
+numeric columns as rows arrive, and a ``--synth`` dataset has no int32
+column. A run splits those parsed rows first and then encodes each split
+with the vocabulary of the training split alone, so no feature matrix of
+the whole file is ever built. A split is a sorted row index into the loaded
+blocks, a selection vector as in MonetDB/X100, and copies none of their
+rows. ``encode_categoricals`` gives a split's rows as ``Blocks``, gathered
+and encoded a block at a time, which ``Blocks.dataset()`` fills into one
+matrix.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ import csv
 import itertools
 import logging
 import math
+import os
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -84,18 +90,27 @@ class DatasetSchema:
 
 @dataclass
 class RawDataset:
-    """Parsed but not-yet-encoded rows, held as the loader's two row-major blocks: the
-    numeric fields as float64 and the categorical fields as int32 codes, code ``c`` of a
-    column standing for token ``c`` of its table in ``tokens``. With ``index`` set, the
-    dataset is those rows of the blocks, in that order, and holds no copy of them."""
+    """Parsed but not-yet-encoded rows, held as the loader's three row-major blocks: the
+    numeric columns listed in ``int_columns`` (by default none) as int32 in ``ints``, the
+    other numeric columns as float64 in ``numbers``, and the categorical fields as int32
+    codes, code ``c`` of a column standing for token ``c`` of its table in ``tokens``.
+    int32 -> float64 is exact, so either numeric block gives each value's float64 bits.
+    With ``index`` set, the dataset is those rows of the blocks, in that order, and holds
+    no copy of them."""
 
     schema: DatasetSchema
-    numbers: np.ndarray  # (block rows, numeric feature columns) float64, schema order
+    numbers: np.ndarray  # (block rows, numeric columns not in int_columns) float64, schema order
     codes: np.ndarray  # (block rows, categorical feature columns) int32, schema order
     labels: np.ndarray  # class indices of this dataset's rows
     tokens: list[list[str]]  # per categorical column, schema order: distinct stripped tokens
     rejected_rows: list[int] = field(default_factory=list)
     index: np.ndarray | None = None  # block rows of this dataset, in order; None: every one
+    ints: np.ndarray | None = None  # (block rows, len(int_columns)) int32; None: no column
+    int_columns: tuple[int, ...] = ()  # ascending numeric-column indices held in ints
+
+    def __post_init__(self) -> None:
+        if self.ints is None:
+            self.ints = np.empty((len(self.numbers), 0), np.int32)
 
     @property
     def n(self) -> int:
@@ -114,15 +129,19 @@ class RawDataset:
         view's index is composed. Split and k-fold give sorted rows, so a split reads its
         blocks front to back and meets each token first where the file does."""
         index = indices if self.index is None else self.index[indices]
-        return RawDataset(self.schema, self.numbers, self.codes, self.labels[indices], self.tokens,
-                          index=index)
+        return replace(self, labels=self.labels[indices], rejected_rows=[], index=index)
 
     def compact(self) -> "RawDataset":
         """The same rows in blocks of their own, so that the blocks a view indexes can go."""
         if self.index is None:
             return self
-        return RawDataset(self.schema, self.numbers[self.index], self.codes[self.index], self.labels,
-                          self.tokens, self.rejected_rows)
+        return replace(self, numbers=self.numbers[self.index], ints=self.ints[self.index],
+                       codes=self.codes[self.index], index=None)
+
+    @property
+    def row_bytes(self) -> int:
+        """The bytes one row takes in the blocks."""
+        return sum(b.itemsize * b.shape[1] for b in (self.numbers, self.ints, self.codes))
 
 
 @dataclass
@@ -396,6 +415,134 @@ class _Labels(dict):
 
 _CHUNK_LINES = 64  # data lines handed to np.loadtxt at a time (a failed chunk costs its lines' row loop)
 _CSV_ONLY = '"\0'  # a chunk holding either is read as CSV: a quote, or a NUL (Python 3.10's csv rejects it)
+_SLAB_ROWS = 4096  # rows of numeric fields staged as float64 before they join the loaded blocks
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)  # the one integral float64 whose bits int32 loses
+
+
+def _fitting(narrow: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """Whether each int32 value of ``narrow``, cast from the float64 ``wide``, gives back its
+    float64 bits: a value out of int32's range casts to some other value, and -0.0 to 0."""
+    return (narrow == wide) & (wide.view(np.int64) != _NEGATIVE_ZERO)
+
+
+class _Numbers:
+    """The numeric fields of the kept rows, held as two row-major blocks that fill as rows
+    arrive: int32 for the columns whose values all keep their float64 bits through int32
+    (``narrow``), float64 for the rest (``wide``), each in schema order. Rows are staged as
+    float64, ``_SLAB_ROWS`` at a time, and each slab is written into place in the blocks.
+    The first slab fixes the split; a later slab holding a value that int32 cannot carry
+    moves that column to a new float64 block, while the int32 block drops the column in
+    place. The row loop's rows wait in ``pending`` until a chunk's rows come, or a slab's
+    worth has.
+
+    The blocks are made once, for as many rows as the file's bytes (``size``) hold at the
+    rate of the bytes read so far (``position()``), plus a sixteenth; only a file whose
+    later rows are shorter needs them made again, and larger. Room never filled is never
+    touched, so it costs no resident memory. Blocks grown a little at a time would, once
+    a process has freed a block of up to 32 MiB (its previous run's int32 block), be put
+    in glibc's heap and leave a hole behind at each step: about 30 MB more at the peak of
+    a second 250,000-row KDD99 load."""
+
+    def __init__(self, width: int, size: int, position) -> None:
+        self.width, self.size, self.position = width, size, position
+        self.slab, self.pending = np.empty((_SLAB_ROWS, width)), array("d")
+        self.staged = self.rows = self.capacity = self.widened = 0  # rows in the slab, in the blocks
+        self.narrow: list[int] | None = None  # fixed by the first slab
+        self.wide: list[int] = []
+        self.ints, self.floats = np.empty(0, np.int32), np.empty(0)
+
+    def append(self, values: list[float]) -> None:
+        """Add one row of the row loop."""
+        self.pending.fromlist(values)
+        if len(self.pending) >= _SLAB_ROWS * self.width:
+            self._drain()
+
+    def extend(self, values: np.ndarray) -> None:
+        """Add the rows of a chunk, after the rows pending."""
+        self._drain()
+        self._stage(values)
+
+    def _drain(self) -> None:
+        if self.pending:
+            self._stage(np.frombuffer(self.pending).reshape(-1, self.width))
+            del self.pending[:]  # once no view of it is left
+
+    def _stage(self, values: np.ndarray) -> None:
+        while len(values):
+            take = min(len(values), _SLAB_ROWS - self.staged)
+            self.slab[self.staged:self.staged + take] = values[:take]
+            self.staged += take
+            values = values[take:]
+            if self.staged == _SLAB_ROWS:
+                self._flush()
+
+    def _reserve(self, rows: int) -> None:
+        """Room for ``rows`` rows in both blocks."""
+        if rows > self.capacity:
+            read = self.position()
+            self.capacity = max(rows + rows // 8, rows * self.size // read * 17 // 16 if read else 0)
+            self.ints = self._moved(self.ints, len(self.narrow))
+            self.floats = self._moved(self.floats, len(self.wide))
+
+    def _moved(self, block: np.ndarray, width: int) -> np.ndarray:
+        """A block of ``capacity`` rows of ``width`` columns holding the rows of ``block``."""
+        moved = np.empty(self.capacity * width, block.dtype)
+        moved[:self.rows * width] = block[:self.rows * width]
+        return moved
+
+    def _flush(self) -> None:
+        """Write the staged rows into the blocks."""
+        rows, self.staged = self.slab[:self.staged], 0
+        if self.narrow is None:
+            with np.errstate(invalid="ignore"):
+                fits = _fitting(rows.astype(np.int32), rows).all(axis=0)
+            self.narrow = [c for c in range(self.width) if fits[c]]
+            self.wide = [c for c in range(self.width) if not fits[c]]
+        self._reserve(self.rows + len(rows))
+        start, stop = self.rows, self.rows + len(rows)
+        while self.narrow:
+            width = len(self.narrow)
+            narrow = self.ints[start * width:stop * width].reshape(len(rows), width)
+            wide = rows if width == self.width else rows.take(self.narrow, axis=1)
+            with np.errstate(invalid="ignore"):
+                np.copyto(narrow, wide, casting="unsafe")
+            fitting = _fitting(narrow, wide)
+            if fitting.all():
+                break
+            del narrow
+            self._widen([c for c, ok in zip(self.narrow, fitting.all(axis=0)) if not ok])
+        width = len(self.wide)
+        wide = self.floats[start * width:stop * width].reshape(len(rows), width)
+        if width == self.width:
+            wide[...] = rows
+        else:
+            rows.take(self.wide, axis=1, out=wide, mode="clip")
+        self.rows = stop
+
+    def _widen(self, moved: list[int]) -> None:
+        """Move the ``moved`` columns of the int32 block to a new float64 block."""
+        self.widened += len(moved)
+        wide, left = sorted(self.wide + moved), [j for j, c in enumerate(self.narrow) if c not in moved]
+        ints = self.ints[:self.rows * len(self.narrow)].reshape(self.rows, len(self.narrow))
+        floats = np.empty(self.capacity * len(wide))
+        new = floats[:self.rows * len(wide)].reshape(self.rows, len(wide))
+        new[:, [wide.index(c) for c in self.wide]] = self.floats[:self.rows * len(self.wide)].reshape(
+            self.rows, len(self.wide))
+        new[:, [wide.index(c) for c in moved]] = ints[:, [self.narrow.index(c) for c in moved]]
+        # drop the moved columns front to back, so that no row is overwritten before it is read
+        kept = self.ints[:self.rows * len(left)].reshape(self.rows, len(left))
+        for lo in range(0, self.rows, _SLAB_ROWS):
+            kept[lo:lo + _SLAB_ROWS] = ints[lo:lo + _SLAB_ROWS, left]
+        self.floats, self.wide, self.narrow = floats, wide, [self.narrow[j] for j in left]
+
+    def blocks(self, n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The float64 block, the int32 block and the numeric columns the int32 one holds."""
+        self._drain()
+        if self.staged:
+            self._flush()
+        narrow = self.narrow or []
+        return (self.floats[:n * len(self.wide)].reshape(n, len(self.wide)),
+                self.ints[:n * len(narrow)].reshape(n, len(narrow)), tuple(narrow))
 
 
 class _Records:
@@ -437,7 +584,7 @@ def _fields(positions: list[int]):
 
 
 def _chunk_reader(arity: int, numeric_pos: list[int], token_pos: list[int], label_at: int,
-                  limit: int, numbers: array, codes: array, labels: array, coders: list[_Codes],
+                  limit: int, numbers: _Numbers, codes: array, labels: array, coders: list[_Codes],
                   label_codes: _Labels):
     """``take(lines)`` for ``_Records``: parse a chunk of data lines with ``np.loadtxt`` and,
     when each line is one record whose numeric fields are finite floats and whose label is
@@ -466,7 +613,7 @@ def _chunk_reader(arity: int, numeric_pos: list[int], token_pos: list[int], labe
             found = list(map(label_codes.__getitem__, rec[label]))
         except KeyError:
             return False
-        numbers.frombytes(values.tobytes())
+        numbers.extend(values)
         block = np.empty((len(rec), len(coders)), np.int32)
         for j, (coder, name) in enumerate(zip(coders, tokens)):  # in row order, as the row loop
             block[:, j] = list(map(coder.__getitem__, rec[name].tolist()))
@@ -497,12 +644,14 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
     Speed: after the first record, lines are read ``_CHUNK_LINES`` at a time
     and a chunk that ``np.loadtxt`` parses clean (see ``_chunk_reader``) is
     stored as the row loop would store it; only the other chunks go through
-    the row loop. Memory: the numeric fields of kept rows fill one float64
-    block and their codes one int32 block, which the returned dataset holds
-    as they are.
+    the row loop. Memory: the numeric fields of kept rows are staged as
+    float64 a slab of ``_SLAB_ROWS`` rows at a time and written into two
+    blocks (see ``_Numbers``): int32 for each column whose values all keep
+    their float64 bits through int32, so not -0.0, a fraction or a value
+    past 2**31, and float64 for the rest. Their codes fill one int32 block.
+    The returned dataset holds the blocks as they are.
     """
-    numbers, codes = array("d"), array("i")  # row-major numeric fields and token codes of kept rows
-    labels, rejected = array("q"), []
+    codes, labels, rejected = array("i"), array("q"), []  # row-major token codes of kept rows
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             source = _Records(handle, path)
@@ -528,6 +677,8 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
             arity, label_at = schema.arity, schema.label_position
             label_codes = _Labels(schema, infer)  # raw label token -> class index
             memo, coders = _FloatMemo(), [_Codes() for _ in token_pos]
+            numbers = _Numbers(len(numeric_pos), os.fstat(handle.fileno()).st_size,
+                               handle.buffer.tell if handle.seekable() else lambda: 0)
             source.take = _chunk_reader(arity, numeric_pos, token_pos, label_at, csv.field_size_limit(),
                                         numbers, codes, labels, coders, label_codes)
             for lineno, row in records:
@@ -544,16 +695,18 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
                 except ValueError:  # NaN, inf and any field that is not a number
                     rejected.append(lineno)
                     continue
-                numbers.fromlist(values)
+                numbers.append(values)
                 codes.extend(map(_Codes.__getitem__, coders, categorical(row)))
                 labels.append(code)
+            floats, ints, int_columns = numbers.blocks(len(labels))
     except OSError as exc:
         raise unreadable(path, exc) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
-    log.debug("%s: %d line(s) parsed by np.loadtxt, %d by the row loop",
-              path, source.taken, source.lineno - source.taken)
+    log.debug("%s: %d line(s) parsed by np.loadtxt, %d by the row loop; %d of %d numeric "
+              "column(s) held as int32, %d widened to float64 mid-file", path, source.taken,
+              source.lineno - source.taken, len(int_columns), len(numeric_pos), numbers.widened)
     if not labels:
         raise DataError(f"no usable rows in {path}: all {len(rejected)} rows had unparseable "
                         "numeric fields" if rejected else f"empty file: {path}")
@@ -566,9 +719,9 @@ def load_csv(path: str, schema: DatasetSchema | None) -> RawDataset:
         labels = np.array([rank[name] for name in label_codes.classes], dtype=np.int64)[labels]
         schema = synthetic_schema([c.name for c in feature_cols], list(rank))
 
-    return RawDataset(schema, np.frombuffer(numbers).reshape(len(labels), len(numeric_pos)),
-                      np.frombuffer(codes, dtype=np.int32).reshape(len(labels), len(token_pos)),
-                      labels, [c.tokens for c in coders], rejected)
+    codes = np.frombuffer(codes, dtype=np.int32).reshape(len(labels), len(token_pos))
+    return RawDataset(schema, floats, codes, labels, [c.tokens for c in coders], rejected,
+                      ints=ints, int_columns=int_columns)
 
 
 def write_csv(d: Dataset, path: str) -> None:
@@ -627,11 +780,14 @@ class CategoricalEncoder:
         """The encoded rows of ``raw``, which ``fill`` writes for any range of rows into a
         buffer. Each categorical column's token table is mapped through the vocabulary here,
         once per distinct token, and ``fill`` gathers a block's codes from that lookup. It
-        gathers the block's numeric fields ``_GATHER_ROWS`` rows at a time, so a split that
-        indexes the loaded blocks needs no block-sized copy of them, and writes each run of
-        numeric columns that stay adjacent once encoded with one slice assignment."""
+        gathers the numeric fields of each numeric block ``_GATHER_ROWS`` rows at a time, so
+        a split that indexes the loaded blocks needs no block-sized copy of them, and writes
+        each run of numeric columns that stay adjacent, both once encoded and in their block,
+        with one slice assignment."""
         tables = iter(raw.tokens)
-        runs = []  # [first output column, first numeric column, run length]
+        blocks, wide = (raw.numbers, raw.ints), itertools.count()
+        narrow = {c: j for j, c in enumerate(raw.int_columns)}  # numeric column -> its column of ints
+        runs = []  # [first output column, block, first column in the block, run length]
         parts = []  # (first output column, one-hot width or 0, categorical column, code lookup)
         at = numeric = 0
         for col in raw.schema.feature_columns():
@@ -642,21 +798,26 @@ class CategoricalEncoder:
                 parts.append((at, width, len(parts), lookup))
                 at += width or 1
                 continue
-            if runs and runs[-1][0] + runs[-1][2] == at:  # the column before was numeric too
-                runs[-1][2] += 1
+            source = [1, narrow[numeric]] if numeric in narrow else [0, next(wide)]
+            if runs and runs[-1][0] + runs[-1][3] == at and runs[-1][1] == source[0] \
+                    and runs[-1][2] + runs[-1][3] == source[1]:  # the column before continues
+                runs[-1][3] += 1
             else:
-                runs.append([at, numeric, 1])
+                runs.append([at, *source, 1])
             at, numeric = at + 1, numeric + 1
+        used = sorted({k for _, k, _, _ in runs})
 
         def fill(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-            buffer = np.empty((min(stop - start, _GATHER_ROWS), raw.numbers.shape[1]))
+            buffers = {k: np.empty((min(stop - start, _GATHER_ROWS), blocks[k].shape[1]), blocks[k].dtype)
+                       for k in used}
             for lo in range(start, stop, _GATHER_ROWS):
                 hi = min(lo + _GATHER_ROWS, stop)
                 # mode "raise" would gather into a temporary first; the index is valid
-                numbers = raw.numbers[lo:hi] if raw.index is None else np.take(
-                    raw.numbers, raw.index[lo:hi], axis=0, out=buffer[:hi - lo], mode="clip")
-                for at, first, width in runs:
-                    out[lo - start:hi - start, at:at + width] = numbers[:, first:first + width]
+                rows = {k: blocks[k][lo:hi] if raw.index is None else np.take(
+                    blocks[k], raw.index[lo:hi], axis=0, out=buffer[:hi - lo], mode="clip")
+                    for k, buffer in buffers.items()}
+                for at, k, first, width in runs:  # int32 -> float64 is exact
+                    out[lo - start:hi - start, at:at + width] = rows[k][:, first:first + width]
             picked = raw.block_rows(start, stop)
             for at, width, j, lookup in parts:
                 values = lookup[raw.codes[picked, j]]

@@ -313,7 +313,8 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
     time (into the training matrix, or on the PCA path by the fit and the projection), the
     test split stops indexing the loaded blocks, so they go before the classifier, or
     Boruta, is fitted. A PCA run keeps it as whichever is smaller, its k float64 components
-    a row or its parsed row: when the projection is smaller, the apply pass makes it then,
+    a row or its parsed row (``RawDataset.row_bytes``: 4 bytes a code or int32 column, 8 a
+    float64 one): when the projection is smaller, the apply pass makes it then,
     straight from the loaded blocks. Otherwise the test split gets its rows in blocks of
     its own, a copy timed as part of the split, and the apply pass runs after training.
     Nothing fitted reads the test split, so either order gives the same bits.
@@ -338,9 +339,7 @@ def _run_split(cfg: ExperimentConfig, halves: list[RawDataset], timings: dict[st
         train = select(train)
     test = None
     if cfg.selector == "pca":  # the projection was the training rows' last read
-        parsed_row = (halves[0].numbers.itemsize * halves[0].numbers.shape[1]
-                      + halves[0].codes.itemsize * halves[0].codes.shape[1])
-        if train.features.itemsize * train.p < parsed_row:
+        if train.features.itemsize * train.p < halves[0].row_bytes:
             test = _apply(cfg, timings, encoder, standardizer, select, halves.pop())
         else:
             with _clock(timings, "split"):

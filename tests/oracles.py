@@ -263,10 +263,13 @@ def _reference_looks_like_header(row: list[str], schema) -> bool:
 
 
 def raw_columns(raw: RawDataset) -> list[np.ndarray]:
-    """The feature columns of ``raw``'s rows in schema order: float64 numeric columns and the
-    int32 codes of each categorical one."""
+    """The feature columns of ``raw``'s rows in schema order: float64 numeric columns, read
+    from whichever numeric block holds each, and the int32 codes of each categorical one."""
     rows = raw.block_rows(0, raw.n)
-    numbers, codes = iter(raw.numbers[rows].T), iter(raw.codes[rows].T)
+    floats, ints = iter(raw.numbers[rows].T), iter(raw.ints[rows].T.astype(np.float64))
+    numbers = iter([next(ints) if j in raw.int_columns else next(floats)
+                    for j in range(raw.numbers.shape[1] + raw.ints.shape[1])])
+    codes = iter(raw.codes[rows].T)
     return [next(codes) if col.kind == CATEGORICAL else next(numbers)
             for col in raw.schema.feature_columns()]
 
